@@ -127,7 +127,9 @@ def featurize(pair: SentencePair, hash_bits: int) -> dict[int, float]:
     pset = set(pair.premise_tokens)
     hset = set(pair.hypothesis_tokens)
     shared = pset & hset
-    for tok in shared:
+    # Sorted, so the feature order, and with it the float sums in `dot`,
+    # does not depend on the interpreter's string hash seed.
+    for tok in sorted(shared):
         bump("S", tok)
 
     overlap = sum(1 for tok in pair.premise_tokens if tok in hset)

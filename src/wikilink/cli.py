@@ -16,14 +16,13 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import baseline, dataset, evaluate, pairs as pairs_mod, textclean
 from .errors import ParseError, PipelineError, ValidationError
 
 EXIT_CODES = {"parse": 2, "validation": 3, "io": 4, "numeric": 5, "internal": 1}
-
-THREADS_ENV = "WIKILINK_THREADS"
 
 
 def log(message: str) -> None:
@@ -70,10 +69,9 @@ class PipelineConfig:
     output_dir: str = "out"
     model: str | None = None
     clean: textclean.CleanConfig = dataclasses.field(default_factory=textclean.CleanConfig)
-    pair: pairs_mod.PairConfig = dataclasses.field(default_factory=pairs_mod.PairConfig)
+    # Also owns the per-side token budget (max_tokens), which model.json records.
     train: baseline.TrainConfig = dataclasses.field(default_factory=baseline.TrainConfig)
     strict_join: bool = True
-    threads: int = 1
 
     def path(self, name: str) -> str:
         explicit = getattr(self, name, None)
@@ -88,82 +86,63 @@ class PipelineConfig:
         }[name])
 
 
-_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(baseline.TrainConfig)}
+_PATH_KEYS = ("nodes", "train_pairs", "test_pairs", "output_dir", "model")
+_TRAIN_TYPES = typing.get_type_hints(baseline.TrainConfig)
+_SECTION_KEYS = {
+    "paths": _PATH_KEYS,
+    "clean": textclean.STAGES,
+    "train": tuple(_TRAIN_TYPES),
+    "run": ("strict_join",),
+}
 
 
 def _read_config_file(path: str) -> PipelineConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser.read_dict({section: {} for section in _SECTION_KEYS})
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ParseError(f"config file {path}: {exc}") from exc
     if not read:
         raise ParseError(f"config file not found: {path}")
-    cfg = PipelineConfig()
-    if parser.has_section("paths"):
-        for key in ("nodes", "train_pairs", "test_pairs", "output_dir", "model"):
-            if parser.has_option("paths", key):
-                setattr(cfg, key, parser.get("paths", key))
-    if parser.has_section("clean"):
-        stages = tuple(
-            s for s in textclean.STAGES
-            if parser.getboolean("clean", s, fallback=True)
-        )
-        cfg.clean = textclean.CleanConfig(stage_mask=stages)
-    train_kwargs = {}
-    if parser.has_section("train"):
-        for key in parser.options("train"):
-            if key not in _TRAIN_KEYS:
-                raise ValidationError(f"unknown [train] option {key!r} in {path}")
-            raw = parser.get("train", key)
-            caster = int if key in (
-                "batch_size", "max_tokens", "epochs", "seed", "hash_bits"
-            ) else float
-            train_kwargs[key] = caster(raw)
-    if parser.has_section("pairs") and parser.has_option("pairs", "max_tokens"):
-        cfg.pair = pairs_mod.PairConfig(parser.getint("pairs", "max_tokens"))
-        train_kwargs.setdefault("max_tokens", cfg.pair.max_tokens)
-    if train_kwargs:
-        cfg.train = baseline.TrainConfig(**train_kwargs)
-    if parser.has_section("run"):
-        if parser.has_option("run", "strict_join"):
-            cfg.strict_join = parser.getboolean("run", "strict_join")
-        if parser.has_option("run", "threads"):
-            raw = parser.get("run", "threads")
-            cfg.threads = 1 if raw == "auto" else int(raw)
-    return cfg
-
-
-def _resolve_threads(cfg: PipelineConfig) -> None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        cfg.threads = 1 if raw == "auto" else int(raw)
-    if cfg.threads < 1:
-        raise ValidationError("threads must be a positive integer or auto")
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ValidationError(f"unknown section [{section}] in {path}")
+        for key in parser.options(section):
+            if key not in _SECTION_KEYS[section]:
+                raise ValidationError(f"unknown [{section}] option {key!r} in {path}")
+    return PipelineConfig(
+        **{key: parser.get("paths", key) for key in parser.options("paths")},
+        clean=textclean.CleanConfig(stage_mask=tuple(
+            s for s in textclean.STAGES if parser.getboolean("clean", s, fallback=True)
+        )),
+        train=baseline.TrainConfig(**{
+            key: _TRAIN_TYPES[key](parser.get("train", key)) for key in parser.options("train")
+        }),
+        strict_join=parser.getboolean("run", "strict_join", fallback=True),
+    )
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = _read_config_file(args.config) if getattr(args, "config", None) else PipelineConfig()
-    for key in ("nodes", "train_pairs", "test_pairs", "output_dir", "model"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            setattr(cfg, key, value)
-    train_overrides = {
-        key: getattr(args, key)
-        for key in _TRAIN_KEYS
-        if getattr(args, key, None) is not None
-    }
-    if train_overrides:
-        cfg.train = dataclasses.replace(cfg.train, **train_overrides)
-    if getattr(args, "max_tokens", None) is not None:
-        cfg.pair = pairs_mod.PairConfig(args.max_tokens)
-    stages = [
-        s for s in cfg.clean.stage_mask
-        if not getattr(args, f"no_{s}", False)
-    ]
-    cfg.clean = textclean.CleanConfig(stage_mask=tuple(stages))
+    """Flags over the config file over defaults; a bad value is a ValidationError."""
+    try:
+        cfg = _read_config_file(args.config) if getattr(args, "config", None) else PipelineConfig()
+        for key in _PATH_KEYS:
+            value = getattr(args, key, None)
+            if value is not None:
+                setattr(cfg, key, value)
+        cfg.train = dataclasses.replace(cfg.train, **{
+            key: getattr(args, key)
+            for key in _TRAIN_TYPES
+            if getattr(args, key, None) is not None
+        })
+        cfg.clean = textclean.CleanConfig(stage_mask=tuple(
+            s for s in cfg.clean.stage_mask if not getattr(args, f"no_{s}", False)
+        ))
+    except ValueError as exc:
+        raise ValidationError(f"bad setting: {exc}") from exc
     if getattr(args, "lenient_join", False):
         cfg.strict_join = False
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-    _resolve_threads(cfg)
     return cfg
 
 
@@ -172,76 +151,69 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _clean_nodes(cfg: PipelineConfig, in_path: str | None, out_path: str | None,
-                 want_report: bool) -> None:
+                 want_report: bool) -> dict[int, dataset.NodeRecord]:
+    """Clean every node, write the cleaned table and return it."""
     aggregate = textclean.CleanReport()
-    count = 0
-    with open_input(in_path) as src, atomic_output(out_path) as dst:
-        for rec in dataset.parse_nodes(src):
-            cleaned, rep = textclean.clean(rec.text, cfg.clean)
+
+    def cleaned(records):
+        for rec in records:
+            text, rep = textclean.clean(rec.text, cfg.clean)
             aggregate.merge(rep)
-            dst.write(f"{rec.id}\t{cleaned}\n")
-            count += 1
-    log(f"clean: {count} nodes")
+            yield dataset.NodeRecord(rec.id, text)
+
+    with open_input(in_path) as src:
+        table = dataset.build_node_table(cleaned(dataset.parse_nodes(src)))
+    with atomic_output(out_path) as dst:
+        dataset.write_nodes(table.values(), dst)
+    log(f"clean: {len(table)} nodes")
     if want_report:
         log("clean-report " + json.dumps(dataclasses.asdict(aggregate), sort_keys=True))
+    return table
 
 
-def _prepare(cfg: PipelineConfig, pairs_path: str, nodes_path: str,
-             out_path: str | None, labeled: bool) -> None:
+def _read_node_table(nodes_path: str) -> dict[int, dataset.NodeRecord]:
     with open_input(nodes_path) as src:
-        table = dataset.build_node_table(dataset.parse_nodes(src))
+        return dataset.build_node_table(dataset.parse_nodes(src))
+
+
+def _sentence_pairs(cfg: PipelineConfig, pairs_path: str,
+                    table: dict[int, dataset.NodeRecord],
+                    labeled: bool) -> list[pairs_mod.SentencePair]:
+    """Join a pairs file against `table` and build each sentence pair once."""
+    budget = pairs_mod.PairConfig(cfg.train.max_tokens)
     counters = dataset.ParseCounters()
-    count = 0
-    with open_input(pairs_path) as src, atomic_output(out_path) as dst:
+    with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
             dataset.parse_pairs(src, labeled=labeled), table,
             strict=cfg.strict_join, counters=counters,
         )
-        for pair, n1, n2 in joined:
-            sp = pairs_mod.build_pair(pair, n1.text, n2.text, cfg.pair)
-            pairs_mod.write_prepared([sp], dst)
-            count += 1
-    log(f"prepare: {count} pairs" + (
+        built = [pairs_mod.build_pair(pair, n1.text, n2.text, budget)
+                 for pair, n1, n2 in joined]
+    log(f"pairs: {len(built)} from {pairs_path}" + (
         f" ({counters.skipped_joins} skipped)" if counters.skipped_joins else ""))
+    return built
 
 
-def _load_sentence_pairs(cfg: PipelineConfig, pairs_path: str, nodes_path: str,
-                         labeled: bool) -> list[pairs_mod.SentencePair]:
-    with open_input(nodes_path) as src:
-        table = dataset.build_node_table(dataset.parse_nodes(src))
-    with open_input(pairs_path) as src:
-        joined = dataset.join_pairs(
-            dataset.parse_pairs(src, labeled=labeled), table, strict=cfg.strict_join,
-        )
-        return [
-            pairs_mod.build_pair(pair, n1.text, n2.text, cfg.pair)
-            for pair, n1, n2 in joined
-        ]
-
-
-def _train(cfg: PipelineConfig, pairs_path: str, nodes_path: str, model_path: str) -> None:
-    examples = _load_sentence_pairs(cfg, pairs_path, nodes_path, labeled=True)
+def _train(cfg: PipelineConfig, examples: list[pairs_mod.SentencePair],
+           model_path: str) -> baseline.BaselineModel:
     log(f"train: {len(examples)} examples")
     model = baseline.train(examples, cfg.train)
     with atomic_output(model_path) as dst:
         baseline.save_model(model, dst)
     log(f"train: model written to {model_path}")
+    return model
 
 
-def _predict(cfg: PipelineConfig, model_path: str, pairs_path: str,
-             nodes_path: str, out_path: str | None, labeled: bool) -> None:
-    with open_input(model_path) as src:
-        model = baseline.load_model(src)
-    examples = _load_sentence_pairs(cfg, pairs_path, nodes_path, labeled=labeled)
+def _predict(model: baseline.BaselineModel, examples: list[pairs_mod.SentencePair],
+             out_path: str | None) -> list[baseline.Prediction]:
     predictions = [baseline.predict(model, sp) for sp in examples]
     with atomic_output(out_path) as dst:
         evaluate.write_predictions(predictions, dst)
     log(f"predict: {len(predictions)} predictions")
+    return predictions
 
 
-def _submit(predictions_path: str, out_path: str | None) -> None:
-    with open_input(predictions_path) as src:
-        predictions = list(evaluate.read_predictions(src))
+def _submit(predictions: list[baseline.Prediction], out_path: str | None) -> None:
     with atomic_output(out_path) as dst:
         count = evaluate.emit_submission(predictions, dst)
     log(f"submit: {count} rows")
@@ -269,20 +241,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    _prepare(cfg, args.pairs, args.nodes, args.output, labeled=not args.unlabeled)
+    built = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes),
+                            labeled=not args.unlabeled)
+    with atomic_output(args.output) as dst:
+        pairs_mod.write_prepared(built, dst)
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    _train(cfg, args.pairs, args.nodes, args.model_out or cfg.path("model"))
+    examples = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes), labeled=True)
+    _train(cfg, examples, args.model_out or cfg.path("model"))
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    _predict(cfg, args.model_file, args.pairs, args.nodes, args.output,
-             labeled=args.labeled)
+    with open_input(args.model_file) as src:
+        model = baseline.load_model(src)
+    examples = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes),
+                               labeled=args.labeled)
+    _predict(model, examples, args.output)
     return 0
 
 
@@ -303,11 +282,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    _submit(args.predictions, args.output)
+    with open_input(args.predictions) as src:
+        predictions = list(evaluate.read_predictions(src))
+    _submit(predictions, args.output)
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    """Clean, prepare, train, predict and submit, parsing each input once.
+
+    `prepared.tsv` is written from the very list the model trains on. The
+    model and predictions are used from memory; the JSON float round trip
+    is exact, so this matches reading them back.
+    """
     cfg = build_config(args)
     for name, value in (("nodes", cfg.nodes), ("train_pairs", cfg.train_pairs),
                         ("test_pairs", cfg.test_pairs)):
@@ -315,13 +302,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             raise ValidationError(f"pipeline requires a {name} path (flag or config file)")
         if not Path(value).exists():
             raise FileNotFoundError(f"{name} path does not exist: {value}")
-    cleaned = cfg.path("cleaned_nodes")
-    _clean_nodes(cfg, cfg.nodes, cleaned, want_report=True)
-    _prepare(cfg, cfg.train_pairs, cleaned, cfg.path("prepared"), labeled=True)
-    _train(cfg, cfg.train_pairs, cleaned, cfg.path("model"))
-    _predict(cfg, cfg.path("model"), cfg.test_pairs, cleaned,
-             cfg.path("predictions"), labeled=False)
-    _submit(cfg.path("predictions"), cfg.path("submission"))
+    table = _clean_nodes(cfg, cfg.nodes, cfg.path("cleaned_nodes"), want_report=True)
+    examples = _sentence_pairs(cfg, cfg.train_pairs, table, labeled=True)
+    with atomic_output(cfg.path("prepared")) as dst:
+        pairs_mod.write_prepared(examples, dst)
+    model = _train(cfg, examples, cfg.path("model"))
+    # Built only after training, so test tokens never sit beside the
+    # featurized training set.
+    tests = _sentence_pairs(cfg, cfg.test_pairs, table, labeled=False)
+    _submit(_predict(model, tests, cfg.path("predictions")), cfg.path("submission"))
     return 0
 
 
@@ -331,7 +320,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _add_common_config_flags(p: argparse.ArgumentParser, train_flags: bool = False) -> None:
     p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--threads", type=int, help="worker thread count")
     p.add_argument("--lenient-join", action="store_true",
                    help="skip pairs referencing missing nodes instead of failing")
     p.add_argument("--max-tokens", type=int, dest="max_tokens",
@@ -340,13 +328,9 @@ def _add_common_config_flags(p: argparse.ArgumentParser, train_flags: bool = Fal
         p.add_argument(f"--no-{stage}", action="store_true",
                        help=f"disable the {stage} cleaning stage")
     if train_flags:
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--learning-rate", type=float, dest="learning_rate")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--hash-bits", type=int, dest="hash_bits")
-        p.add_argument("--weight-decay", type=float, dest="weight_decay")
-        p.add_argument("--decision-threshold", type=float, dest="decision_threshold")
+        for key in ("batch_size", "learning_rate", "epochs", "seed", "hash_bits",
+                    "weight_decay", "decision_threshold"):
+            p.add_argument("--" + key.replace("_", "-"), type=_TRAIN_TYPES[key])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -425,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log(f"error [io]: {exc}")
         return EXIT_CODES["io"]
+    except UnicodeDecodeError as exc:
+        log(f"error [parse]: {exc}")
+        return EXIT_CODES["parse"]
 
 
 if __name__ == "__main__":

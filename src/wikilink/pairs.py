@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .dataset import PairRecord
-from .errors import ParseError, ValidationError
 from .textclean import WHITESPACE_CHARS
 
 _WS_SPLIT = re.compile("[" + re.escape(WHITESPACE_CHARS) + "]+")
@@ -68,25 +67,3 @@ def write_prepared(pairs: Iterable[SentencePair], stream: IO) -> int:
         n += 1
     return n
 
-
-def read_prepared(stream: IO) -> Iterator[SentencePair]:
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", line_no)
-        pair_id, label_str, premise, hypothesis = fields
-        if label_str == "-":
-            label: int | None = None
-        elif label_str in ("0", "1"):
-            label = int(label_str)
-        else:
-            raise ValidationError(f"line {line_no}: label must be 0, 1 or -, got {label_str!r}")
-        yield SentencePair(
-            pair_id,
-            tuple(tokenize(premise)),
-            tuple(tokenize(hypothesis)),
-            label,
-        )

@@ -1,12 +1,29 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wikilink
+from wikilink import dataset, pairs
 from wikilink.cli import main
+
+ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
+             "prepared.tsv", "nodes.clean.tsv")
+
+
+def pipeline_argv(fixture_dir, out_dir, *extra):
+    return [
+        "pipeline",
+        "--nodes", str(fixture_dir / "nodes.tsv"),
+        "--train-pairs", str(fixture_dir / "train.csv"),
+        "--test-pairs", str(fixture_dir / "test.csv"),
+        "--output-dir", str(out_dir),
+        *extra,
+    ]
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -162,15 +179,8 @@ class TestTrainPredictEvalSubmit:
 
 
 class TestPipeline:
-    def run_pipeline(self, fixture_dir, out_dir, extra=()):
-        return main([
-            "pipeline",
-            "--nodes", str(fixture_dir / "nodes.tsv"),
-            "--train-pairs", str(fixture_dir / "train.csv"),
-            "--test-pairs", str(fixture_dir / "test.csv"),
-            "--output-dir", str(out_dir),
-            *extra,
-        ])
+    def run_pipeline(self, fixture_dir, out_dir):
+        return main(pipeline_argv(fixture_dir, out_dir))
 
     def test_end_to_end(self, fixture_dir, tmp_path):
         assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
@@ -180,8 +190,7 @@ class TestPipeline:
     def test_rerun_is_byte_identical(self, fixture_dir, tmp_path):
         assert self.run_pipeline(fixture_dir, tmp_path / "a") == 0
         assert self.run_pipeline(fixture_dir, tmp_path / "b") == 0
-        for name in ("model.json", "submission.csv", "predictions.csv",
-                     "prepared.tsv", "nodes.clean.tsv"):
+        for name in ARTIFACTS:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_missing_input_fails_with_io(self, tmp_path, capsys):
@@ -197,6 +206,38 @@ class TestPipeline:
         out = tmp_path / "out"
         assert self.run_pipeline(fixture_dir, out) == 0
         assert not list(out.glob("*.tmp"))
+
+    def test_each_input_parsed_once(self, fixture_dir, tmp_path, monkeypatch):
+        counts = {"node_rows": 0, "pairs_built": 0}
+        parse_nodes, build_pair = dataset.parse_nodes, pairs.build_pair
+
+        def counting_parse_nodes(*args, **kwargs):
+            for rec in parse_nodes(*args, **kwargs):
+                counts["node_rows"] += 1
+                yield rec
+
+        def counting_build_pair(*args, **kwargs):
+            counts["pairs_built"] += 1
+            return build_pair(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "parse_nodes", counting_parse_nodes)
+        monkeypatch.setattr(pairs, "build_pair", counting_build_pair)
+        assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
+        assert counts == {"node_rows": 400, "pairs_built": 200 + 200}
+
+    def test_artifacts_independent_of_hash_seed(self, fixture_dir, tmp_path):
+        src = str(Path(wikilink.__file__).resolve().parents[1])
+        for seed in (1, 2):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "wikilink.cli",
+                 *pipeline_argv(fixture_dir, tmp_path / f"seed{seed}")],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ARTIFACTS:
+            assert (tmp_path / "seed1" / name).read_bytes() == (tmp_path / "seed2" / name).read_bytes(), name
 
 
 class TestConfigFile:
@@ -230,11 +271,43 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg), "--pairs", "x", "--nodes", "y"])
         assert code == 3
 
-    def test_threads_env_override(self, fixture_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("WIKILINK_THREADS", "0")
-        code = main(["clean", "--input", str(fixture_dir / "nodes.tsv"),
-                     "--output", str(tmp_path / "o.tsv")])
-        assert code == 3  # invalid thread count rejected
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_token_budget_reaches_pairs_and_model(self, fixture_dir, tmp_path, how):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[train]\nmax_tokens = 2\n" if how == "config" else "[train]\n")
+        extra = ["--max-tokens", "2"] if how == "flag" else []
+        assert main(pipeline_argv(fixture_dir, tmp_path / "out", "--config", str(cfg), *extra)) == 0
+        for line in (tmp_path / "out" / "prepared.tsv").read_text().splitlines():
+            _, _, premise, hypothesis = line.split("\t")
+            assert len(premise.split()) <= 2 and len(hypothesis.split()) <= 2
+        model = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert model["config"]["max_tokens"] == 2
+
+
+# case -> (config file text, extra flags, nodes.tsv bytes or None, exit code, named in the error)
+BAD_SETTINGS = {
+    "epochs flag zero": ("", ["--epochs", "0"], None, 3, "epochs"),
+    "max-tokens flag zero": ("", ["--max-tokens", "0"], None, 3, "max_tokens"),
+    "fractional epochs in config": ("[train]\nepochs = 2.5\n", [], None, 3, "2.5"),
+    "bad boolean in config": ("[run]\nstrict_join = maybe\n", [], None, 3, "maybe"),
+    "unknown section": ("[pairs]\nmax_tokens = 2\n", [], None, 3, "[pairs]"),
+    "unknown run option": ("[run]\nthreads = 1\n", [], None, 3, "threads"),
+    "no section header": ("epochs = 1\n", [], None, 2, "section header"),
+    "nodes not utf-8": ("", [], b"1\tcaf\xe9\n", 2, "utf-8"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_settings_and_input_exit_with_code(case, fixture_dir, tmp_path, capsys):
+    config_text, extra, nodes_bytes, code, named = BAD_SETTINGS[case]
+    if nodes_bytes is not None:
+        (tmp_path / "nodes.tsv").write_bytes(nodes_bytes)
+        extra = [*extra, "--nodes", str(tmp_path / "nodes.tsv")]
+    cfg = tmp_path / "config.ini"
+    cfg.write_text(config_text)
+    assert main(pipeline_argv(fixture_dir, tmp_path / "out", "--config", str(cfg), *extra)) == code
+    err = capsys.readouterr().err
+    assert "error [" in err and named in err
 
 
 class TestUsage:

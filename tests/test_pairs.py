@@ -9,7 +9,6 @@ from wikilink.pairs import (
     PairConfig,
     SentencePair,
     build_pair,
-    read_prepared,
     tokenize,
     write_prepared,
 )
@@ -82,13 +81,3 @@ class TestPreparedFile:
         write_prepared([sp, unlabeled], buf)
         assert buf.getvalue() == "p0\t1\ta b\tc\np1\t-\t\td\n"
 
-    def test_round_trip(self):
-        records = [
-            SentencePair("p0", ("a", "b"), ("c",), 1),
-            SentencePair("p1", (), (), None),
-            SentencePair("p2", ("x",), ("y", "z"), 0),
-        ]
-        buf = io.StringIO()
-        write_prepared(records, buf)
-        buf.seek(0)
-        assert list(read_prepared(buf)) == records
