@@ -5,6 +5,14 @@ side plus shared tokens, namespace-prefixed) followed by a 4-slot dense
 block: overlap count, Jaccard similarity, normalized length difference,
 bias. Hashing is 64-bit FNV-1a over UTF-8 bytes, masked to hash_bits, so
 feature indices are stable across runs and platforms.
+
+Pairs are featurized into batches of CSR rows (`FeatureRows`). A row
+lists its slots in first-seen order over premise unigrams, premise
+bigrams, hypothesis unigrams, hypothesis bigrams and the sorted shared
+tokens, each slot once with its count, then the dense block. Dot
+products and the gradient are `np.bincount` sums, which add their terms
+in array order, so they equal a per-feature loop over each row term for
+term (`tests/oracles.py` holds that loop), whatever FEATURIZE_CHUNK is.
 """
 
 from __future__ import annotations
@@ -21,10 +29,16 @@ from .errors import NumericError, ValidationError
 from .pairs import SentencePair
 
 DENSE_BLOCK_SIZE = 4  # overlap, jaccard, length diff, bias
+# Pairs hashed together. Larger chunks repeat less hashing across chunks
+# but hold larger temporary arrays; 64 kept peak RSS at the old level.
+FEATURIZE_CHUNK = 64
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
+_NAMESPACES = ("P", "H", "S")  # premise, hypothesis, shared
+_BIGRAM_SEP = 0x1E  # byte between the two tokens of a bigram key
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -86,6 +100,9 @@ class BaselineModel:
     v: np.ndarray
     step: int = 0
     loss_history: list[float] = field(default_factory=list)
+    # Two weight-sized buffers adamw_step reuses, so a step allocates nothing.
+    buffers: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, config: TrainConfig) -> "BaselineModel":
@@ -106,44 +123,155 @@ class BaselineModel:
         return self.dim - 1
 
 
-def _hash_index(namespace: str, token: str, hash_bits: int) -> int:
-    return fnv1a_64(f"{namespace}\x1f{token}".encode("utf-8")) & ((1 << hash_bits) - 1)
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """Sparse rows in CSR form: row r is `indices[indptr[r]:indptr[r + 1]]`
+    with the matching `values`."""
+
+    indptr: np.ndarray   # int64, one more than the number of rows
+    indices: np.ndarray  # int64 feature slots
+    values: np.ndarray   # float64
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def take(self, rows: Sequence[int]) -> "FeatureRows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return FeatureRows(indptr, self.indices[picks], self.values[picks])
+
+    @staticmethod
+    def concat(parts: Sequence["FeatureRows"]) -> "FeatureRows":
+        if len(parts) == 1:
+            return parts[0]
+        offsets = np.cumsum([0] + [p.indptr[-1] for p in parts[:-1]])
+        indptr = np.concatenate(
+            [np.zeros(1, dtype=np.int64)] + [p.indptr[1:] + o for p, o in zip(parts, offsets)])
+        return FeatureRows(indptr,
+                           np.concatenate([p.indices for p in parts]),
+                           np.concatenate([p.values for p in parts]))
 
 
-def featurize(pair: SentencePair, hash_bits: int) -> dict[int, float]:
-    """Sparse index -> value map; dense block lives past the hashed slots."""
-    features: dict[int, float] = {}
+def _fnv_fold(states: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+              buf: np.ndarray) -> np.ndarray:
+    """Continue FNV-1a from `states[..., i]` over `buf[starts[i]:starts[i] + lengths[i]]`.
 
-    def bump(namespace: str, token: str) -> None:
-        idx = _hash_index(namespace, token, hash_bits)
-        features[idx] = features.get(idx, 0.0) + 1.0
+    Items are sorted longest first, so the items that still have a byte
+    at column j are a prefix; each column is one wrapping uint64 step.
+    """
+    order = np.argsort(-lengths)
+    starts, lengths = starts[order], lengths[order]
+    h = states[..., order]
+    # active[j]: how many items are longer than j bytes
+    active = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)), side="left")
+    for j, k in enumerate(active.tolist()):
+        h[..., :k] ^= buf[starts[:k] + j]
+        h[..., :k] *= _FNV_PRIME_U64
+    out = np.empty_like(h)
+    out[..., order] = h
+    return out
 
-    for namespace, tokens in (("P", pair.premise_tokens), ("H", pair.hypothesis_tokens)):
-        for tok in tokens:
-            bump(namespace, tok)
-        for a, b in zip(tokens, tokens[1:]):
-            bump(namespace, f"{a}\x1e{b}")
 
-    pset = set(pair.premise_tokens)
-    hset = set(pair.hypothesis_tokens)
-    shared = pset & hset
-    # Sorted, so the feature order, and with it the float sums in `dot`,
-    # does not depend on the interpreter's string hash seed.
-    for tok in sorted(shared):
-        bump("S", tok)
+def _featurize_chunk(pairs: Sequence[SentencePair], hash_bits: int) -> FeatureRows:
+    """Hash each distinct token and bigram of the chunk once, then lay out the rows."""
+    # Three token sides per pair: premise, hypothesis, sorted shared tokens.
+    sides: list[Sequence[str]] = []
+    dense = np.empty((len(pairs), DENSE_BLOCK_SIZE))
+    for r, sp in enumerate(pairs):
+        premise, hypothesis = sp.premise_tokens, sp.hypothesis_tokens
+        pset, hset = set(premise), set(hypothesis)
+        shared = pset & hset
+        # Sorted, so the feature order, and with it the float sums, does
+        # not depend on the interpreter's string hash seed.
+        sides += (premise, hypothesis, sorted(shared))
+        union = len(pset | hset)
+        lp, lh = len(premise), len(hypothesis)
+        dense[r] = (
+            sum(map(hset.__contains__, premise)),            # overlap count
+            len(shared) / union if union else 0.0,           # jaccard
+            abs(lp - lh) / max(lp, lh) if max(lp, lh) else 0.0,  # length diff
+            1.0,                                             # bias
+        )
 
-    overlap = sum(1 for tok in pair.premise_tokens if tok in hset)
-    union = len(pset | hset)
-    jaccard = len(shared) / union if union else 0.0
-    lp, lh = len(pair.premise_tokens), len(pair.hypothesis_tokens)
-    length_diff = abs(lp - lh) / max(lp, lh) if max(lp, lh) else 0.0
+    flat = [tok for side in sides for tok in side]
+    vocab = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
+    radix = max(len(vocab), 1)
+    ids = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
+    encoded = [tok.encode("utf-8") for tok in vocab]
+    byte_lens = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    byte_starts = np.cumsum(byte_lens) - byte_lens
+    buf = np.frombuffer(b"".join(encoded), dtype=np.uint8)
 
-    base = 1 << hash_bits
-    features[base] = float(overlap)
-    features[base + 1] = jaccard
-    features[base + 2] = length_diff
-    features[base + 3] = 1.0  # bias
-    return features
+    # FNV is a left fold, so "P\x1ftok" continues from the state after "P\x1f".
+    prefixes = np.array([fnv1a_64(f"{ns}\x1f".encode()) for ns in _NAMESPACES], dtype=np.uint64)
+    unigram = _fnv_fold(np.repeat(prefixes[:, None], len(vocab), axis=1),
+                        byte_starts, byte_lens, buf)  # [namespace, token], unmasked
+
+    side_lens = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
+    pos_side = np.repeat(np.arange(len(sides)), side_lens)
+    pos_ns = pos_side % len(_NAMESPACES)
+
+    # Bigrams join adjacent tokens of a premise or hypothesis side. The
+    # key continues from its first token's unmasked state, over the
+    # separator byte and then the second token's bytes.
+    is_bigram = (pos_side[:-1] == pos_side[1:]) & (pos_ns[:-1] < 2)
+    head = (pos_ns[:-1] * radix + ids[:-1])[is_bigram]  # namespace and first token
+    second = ids[1:][is_bigram]
+    distinct, which = np.unique(head * radix + second, return_inverse=True)
+    d_head, d_second = np.divmod(distinct, radix)
+    states = (unigram.reshape(-1)[d_head] ^ np.uint64(_BIGRAM_SEP)) * _FNV_PRIME_U64
+    bigram = _fnv_fold(states, byte_starts[d_second], byte_lens[d_second], buf)
+
+    mask = np.uint64((1 << hash_bits) - 1)
+    # The stream holds, side by side, each side's unigrams then its
+    # bigrams; a pair's row is its three sides.
+    bigram_side = pos_side[:-1][is_bigram]
+    side_bigrams = np.bincount(bigram_side, minlength=len(sides))
+    n_uni, n_bi = ids.shape[0], bigram_side.shape[0]
+    stream = np.empty(n_uni + n_bi, dtype=np.int64)
+    stream[np.arange(n_uni) + (np.cumsum(side_bigrams) - side_bigrams)[pos_side]] = (
+        unigram[pos_ns, ids] & mask)
+    stream[np.cumsum(side_lens)[bigram_side] + np.arange(n_bi)] = (bigram & mask)[which]
+    row_lens = (side_lens + side_bigrams).reshape(-1, len(_NAMESPACES)).sum(axis=1)
+    stream_rows = np.repeat(np.arange(len(pairs)), row_lens)
+    return _dedup_rows(stream, stream_rows, dense, hash_bits)
+
+
+def _dedup_rows(stream: np.ndarray, stream_rows: np.ndarray, dense: np.ndarray,
+                hash_bits: int) -> FeatureRows:
+    """Count repeated slots within each row in first-seen order, then append the dense block."""
+    n = dense.shape[0]
+    keys, first, counts = np.unique((stream_rows << hash_bits) | stream,
+                                    return_index=True, return_counts=True)
+    order = np.argsort(first)
+    keys, counts = keys[order], counts[order]
+    rows = keys >> hash_bits
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n) + DENSE_BLOCK_SIZE, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    values = np.empty(indptr[-1])
+    hashed_at = np.arange(keys.shape[0]) + DENSE_BLOCK_SIZE * rows
+    indices[hashed_at] = keys & ((1 << hash_bits) - 1)
+    values[hashed_at] = counts
+    dense_at = indptr[1:, None] - DENSE_BLOCK_SIZE + np.arange(DENSE_BLOCK_SIZE)
+    indices[dense_at] = (1 << hash_bits) + np.arange(DENSE_BLOCK_SIZE)
+    values[dense_at] = dense
+    return FeatureRows(indptr, indices, values)
+
+
+def featurize(pairs: Sequence[SentencePair], hash_bits: int) -> FeatureRows:
+    """One CSR row per pair, hashed FEATURIZE_CHUNK pairs at a time."""
+    if not pairs:
+        return FeatureRows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    return FeatureRows.concat([
+        _featurize_chunk(pairs[start : start + FEATURIZE_CHUNK], hash_bits)
+        for start in range(0, len(pairs), FEATURIZE_CHUNK)
+    ])
 
 
 _SIGMOID_LO = 5e-324  # smallest positive float
@@ -160,67 +288,86 @@ def sigmoid(z: float) -> float:
     return min(max(p, _SIGMOID_LO), _SIGMOID_HI)
 
 
-def dot(weights: np.ndarray, features: dict[int, float]) -> float:
-    return float(sum(weights[i] * x for i, x in features.items()))
+def row_dots(weights: np.ndarray, rows: FeatureRows) -> list[float]:
+    """Each row's dot product with `weights`, summed in row order."""
+    row_of = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+    return np.bincount(row_of, weights=weights[rows.indices] * rows.values,
+                       minlength=len(rows)).tolist()
 
 
 def logistic_loss_and_gradient(
     weights: np.ndarray,
-    batch: Sequence[tuple[dict[int, float], int]],
-) -> tuple[float, dict[int, float]]:
-    """Mean binary cross-entropy and its sparse gradient over the batch."""
-    if not batch:
+    rows: FeatureRows,
+    labels: Sequence[int],
+) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy over the batch and its dense gradient."""
+    if not labels:
         raise ValidationError("empty batch")
-    grad: dict[int, float] = {}
+    if len(labels) != len(rows):
+        raise ValidationError(f"{len(labels)} labels for {len(rows)} feature rows")
     loss = 0.0
-    inv = 1.0 / len(batch)
-    for features, label in batch:
-        p = sigmoid(dot(weights, features))
+    inv = 1.0 / len(labels)
+    residuals = []
+    # Scalar per row: np.exp and np.log are not bit-equal to math.exp and math.log.
+    for z, label in zip(row_dots(weights, rows), labels):
+        p = sigmoid(z)
         eps = 1e-12  # clamp keeps the loss finite at saturated predictions
         loss -= math.log(p + eps) if label == 1 else math.log(1.0 - p + eps)
-        residual = (p - label) * inv
-        for i, x in features.items():
-            grad[i] = grad.get(i, 0.0) + residual * x
-    return loss * inv, grad
+        residuals.append((p - label) * inv)
+    terms = np.repeat(residuals, np.diff(rows.indptr)) * rows.values
+    return loss * inv, np.bincount(rows.indices, weights=terms, minlength=weights.shape[0])
 
 
 def adamw_step(
     model: BaselineModel,
-    gradient: dict[int, float],
+    gradient: np.ndarray,
     config: TrainConfig | None = None,
 ) -> BaselineModel:
     """One decoupled-weight-decay Adam update; mutates and returns the model.
 
     Moments use beta1/beta2 with bias correction; eps sits outside the
     square root: w -= lr * m_hat / (sqrt(v_hat) + eps). Weight decay is
-    applied directly to every weight except the bias coordinate.
+    applied directly to every weight except the bias coordinate. `m`, `v`
+    and the weights are updated in place, with the float operations of
+    the formulas in the order written.
     """
     if config is None:
         config = model.config
-    for g in gradient.values():
-        if not math.isfinite(g):
-            raise NumericError("non-finite gradient entry; aborting training")
+    if not np.isfinite(gradient).all():
+        raise NumericError("non-finite gradient entry; aborting training")
+    if gradient.shape != model.weights.shape:
+        raise ValidationError(
+            f"gradient shape {gradient.shape} does not match weight dimension {model.dim}")
 
-    dense = np.zeros(model.dim)
-    for i, g in gradient.items():
-        if not 0 <= i < model.dim:
-            raise ValidationError(f"gradient index {i} outside weight dimension")
-        dense[i] = g
-
-    b1, b2 = config.adamw_beta1, config.adamw_beta2
+    b1, b2, lr = config.adamw_beta1, config.adamw_beta2, config.learning_rate
     model.step += 1
     t = model.step
-    model.m = b1 * model.m + (1.0 - b1) * dense
-    model.v = b2 * model.v + (1.0 - b2) * dense * dense
-    m_hat = model.m / (1.0 - b1**t)
-    v_hat = model.v / (1.0 - b2**t)
-    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adamw_eps)
+    m, v, weights = model.m, model.v, model.weights
+    if model.buffers is None:
+        model.buffers = (np.empty_like(weights), np.empty_like(weights))
+    tmp, update = model.buffers
+    # m = b1 * m + (1 - b1) * g
+    np.multiply(gradient, 1.0 - b1, out=tmp)
+    m *= b1
+    m += tmp
+    # v = b2 * v + (1 - b2) * g * g
+    np.multiply(gradient, 1.0 - b2, out=tmp)
+    tmp *= gradient
+    v *= b2
+    v += tmp
+    # update = lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(v, 1.0 - b2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += config.adamw_eps
+    np.divide(m, 1.0 - b1**t, out=update)
+    update *= lr
+    update /= tmp
     if config.weight_decay:
-        decay = config.learning_rate * config.weight_decay * model.weights
-        decay[model.bias_index] = 0.0
-        update = update + decay
-    model.weights = model.weights - update
-    if not np.all(np.isfinite(model.weights)):
+        np.multiply(weights, lr * config.weight_decay, out=tmp)
+        tmp[model.bias_index] = 0.0
+        update += tmp
+    weights -= update
+    if not np.isfinite(weights).all():
         raise NumericError("non-finite weights after update")
     return model
 
@@ -236,25 +383,32 @@ def train(examples: Iterable[SentencePair], config: TrainConfig | None = None) -
         if sp.label is None:
             raise ValidationError(f"pair {sp.pair_id} is unlabeled")
 
-    featurized = [(featurize(sp, config.hash_bits), sp.label) for sp in examples]
+    rows = featurize(examples, config.hash_bits)
+    labels = [sp.label for sp in examples]
     model = BaselineModel.zeros(config)
     rng = random.Random(config.seed)
-    order = list(range(len(featurized)))
+    order = list(range(len(examples)))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
-            batch = [featurized[i] for i in order[start : start + config.batch_size]]
-            loss, grad = logistic_loss_and_gradient(model.weights, batch)
+            batch = order[start : start + config.batch_size]
+            loss, grad = logistic_loss_and_gradient(
+                model.weights, rows.take(batch), [labels[i] for i in batch])
             model.loss_history.append(loss)
             adamw_step(model, grad, config)
     return model
 
 
-def predict(model: BaselineModel, pair: SentencePair) -> Prediction:
-    features = featurize(pair, model.config.hash_bits)
-    p = sigmoid(dot(model.weights, features))
-    label = 1 if p >= model.config.decision_threshold else 0
-    return Prediction(pair.pair_id, p, label)
+def predict(model: BaselineModel, pairs: Sequence[SentencePair]) -> list[Prediction]:
+    """Score the pairs in order, featurizing one chunk at a time."""
+    threshold = model.config.decision_threshold
+    predictions = []
+    for start in range(0, len(pairs), FEATURIZE_CHUNK):
+        chunk = pairs[start : start + FEATURIZE_CHUNK]
+        for sp, z in zip(chunk, row_dots(model.weights, featurize(chunk, model.config.hash_bits))):
+            p = sigmoid(z)
+            predictions.append(Prediction(sp.pair_id, p, 1 if p >= threshold else 0))
+    return predictions
 
 
 MODEL_FORMAT = "wikilink-baseline-v1"
@@ -267,8 +421,8 @@ def save_model(model: BaselineModel, stream: IO) -> None:
         "hash_bits": model.config.hash_bits,
         "weights": model.weights.tolist(),
     }
-    json.dump(payload, stream, separators=(",", ":"))
-    stream.write("\n")
+    # dumps uses the C encoder; dump on a stream would use the pure-Python one.
+    stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def load_model(stream: IO) -> BaselineModel:

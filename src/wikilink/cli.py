@@ -206,7 +206,7 @@ def _train(cfg: PipelineConfig, examples: list[pairs_mod.SentencePair],
 
 def _predict(model: baseline.BaselineModel, examples: list[pairs_mod.SentencePair],
              out_path: str | None) -> list[baseline.Prediction]:
-    predictions = [baseline.predict(model, sp) for sp in examples]
+    predictions = baseline.predict(model, examples)
     with atomic_output(out_path) as dst:
         evaluate.write_predictions(predictions, dst)
     log(f"predict: {len(predictions)} predictions")
@@ -256,9 +256,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    """Score pairs cut at the token budget the model was trained under."""
     cfg = build_config(args)
     with open_input(args.model_file) as src:
         model = baseline.load_model(src)
+    trained = model.config.max_tokens
+    if args.max_tokens is not None and args.max_tokens != trained:
+        raise ValidationError(
+            f"--max-tokens {args.max_tokens} differs from the model's max_tokens {trained}")
+    cfg.train = model.config
     examples = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes),
                                labeled=args.labeled)
     _predict(model, examples, args.output)

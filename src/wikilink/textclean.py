@@ -45,6 +45,16 @@ class CleanConfig:
         if bad:
             raise ValueError(f"punctuation_set may not contain {sorted(bad)}")
         object.__setattr__(self, "punctuation_set", frozenset(self.punctuation_set))
+        # Not a field: derived from punctuation_set for str.translate.
+        object.__setattr__(self, "deletions", _deletion_table(self.punctuation_set))
+
+
+def _deletion_table(punct: frozenset[str]) -> dict[int, None]:
+    """str.translate table deleting each one-character member of punct."""
+    return {ord(ch): None for ch in punct if len(ch) == 1}
+
+
+_DEFAULT_DELETIONS = _deletion_table(DEFAULT_PUNCTUATION)
 
 
 @dataclass
@@ -112,8 +122,7 @@ def remove_brace_spans(text: str) -> str:
 
 
 def strip_punctuation(text: str, config: CleanConfig | None = None) -> str:
-    punct = DEFAULT_PUNCTUATION if config is None else config.punctuation_set
-    return "".join(ch for ch in text if ch not in punct)
+    return text.translate(_DEFAULT_DELETIONS if config is None else config.deletions)
 
 
 def normalize_whitespace(text: str) -> str:

@@ -3,12 +3,21 @@
 These stay deliberately naive and separate from the library code: the
 brace routines are line-by-line transcriptions of the published
 pseudocode, the metric is recomputed from raw label lists, and the
-gradient oracle is central finite differences.
+gradient oracle is central finite differences. The featurizer, dot
+product, loss, AdamW formulas and punctuation filter below are the
+scalar or out-of-place versions that the library's array code must
+match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from wikilink.baseline import FeatureRows, fnv1a_64, sigmoid
+from wikilink.pairs import SentencePair
+from wikilink.textclean import DEFAULT_PUNCTUATION
 
 
 def reference_balance(text: str) -> str:
@@ -97,3 +106,100 @@ def scalar_adamw_trace(
         v_hat = v / (1 - beta2**t)
         w = w - lr * m_hat / (math.sqrt(v_hat) + eps) - lr * weight_decay * w
     return w
+
+
+def reference_adamw_arrays(weights, m, v, gradient, t, config, bias_index):
+    """One AdamW step written out of place, formula by formula; returns
+    the new (weights, m, v)."""
+    b1, b2 = config.adamw_beta1, config.adamw_beta2
+    m = b1 * m + (1.0 - b1) * gradient
+    v = b2 * v + (1.0 - b2) * gradient * gradient
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adamw_eps)
+    if config.weight_decay:
+        decay = config.learning_rate * config.weight_decay * weights
+        decay[bias_index] = 0.0
+        update = update + decay
+    return weights - update, m, v
+
+
+def reference_strip_punctuation(text: str, punct: frozenset[str] = DEFAULT_PUNCTUATION) -> str:
+    """Character-by-character punctuation deletion."""
+    return "".join(ch for ch in text if ch not in punct)
+
+
+def reference_featurize(pair: SentencePair, hash_bits: int) -> dict[int, float]:
+    """Sparse index -> value map, one FNV-1a call per key; the dense block
+    lives past the hashed slots."""
+    features: dict[int, float] = {}
+
+    def bump(namespace: str, token: str) -> None:
+        idx = fnv1a_64(f"{namespace}\x1f{token}".encode("utf-8")) & ((1 << hash_bits) - 1)
+        features[idx] = features.get(idx, 0.0) + 1.0
+
+    for namespace, tokens in (("P", pair.premise_tokens), ("H", pair.hypothesis_tokens)):
+        for tok in tokens:
+            bump(namespace, tok)
+        for a, b in zip(tokens, tokens[1:]):
+            bump(namespace, f"{a}\x1e{b}")
+
+    pset = set(pair.premise_tokens)
+    hset = set(pair.hypothesis_tokens)
+    shared = pset & hset
+    for tok in sorted(shared):
+        bump("S", tok)
+
+    overlap = sum(1 for tok in pair.premise_tokens if tok in hset)
+    union = len(pset | hset)
+    jaccard = len(shared) / union if union else 0.0
+    lp, lh = len(pair.premise_tokens), len(pair.hypothesis_tokens)
+    length_diff = abs(lp - lh) / max(lp, lh) if max(lp, lh) else 0.0
+
+    base = 1 << hash_bits
+    features[base] = float(overlap)
+    features[base + 1] = jaccard
+    features[base + 2] = length_diff
+    features[base + 3] = 1.0  # bias
+    return features
+
+
+def reference_dot(weights, features: dict[int, float]) -> float:
+    return float(sum(weights[i] * x for i, x in features.items()))
+
+
+def reference_loss_and_gradient(weights, batch) -> tuple[float, dict[int, float]]:
+    """Mean binary cross-entropy and its sparse gradient over
+    (features dict, label) pairs."""
+    grad: dict[int, float] = {}
+    loss = 0.0
+    inv = 1.0 / len(batch)
+    for features, label in batch:
+        p = sigmoid(reference_dot(weights, features))
+        eps = 1e-12
+        loss -= math.log(p + eps) if label == 1 else math.log(1.0 - p + eps)
+        residual = (p - label) * inv
+        for i, x in features.items():
+            grad[i] = grad.get(i, 0.0) + residual * x
+    return loss * inv, grad
+
+
+def rows_from_dicts(dicts: list[dict[int, float]]) -> FeatureRows:
+    """CSR rows holding each dict's items in order."""
+    indptr = np.cumsum([0] + [len(d) for d in dicts])
+    return FeatureRows(indptr.astype(np.int64),
+                       np.array([i for d in dicts for i in d], dtype=np.int64),
+                       np.array([x for d in dicts for x in d.values()], dtype=float))
+
+
+def row_items(rows: FeatureRows, r: int) -> list[tuple[int, float]]:
+    """Row r of CSR rows as (index, value) pairs in row order."""
+    lo, hi = rows.indptr[r], rows.indptr[r + 1]
+    return list(zip(rows.indices[lo:hi].tolist(), rows.values[lo:hi].tolist()))
+
+
+def dense_gradient(gradient: dict[int, float], dim: int) -> np.ndarray:
+    dense = np.zeros(dim)
+    for i, g in gradient.items():
+        dense[i] = g
+    return dense

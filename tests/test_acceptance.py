@@ -20,9 +20,11 @@ from wikilink.cli import main
 
 from oracles import (
     brute_force_macro_f1,
+    dense_gradient,
     numeric_gradient,
     reference_balance,
     reference_remove_spans,
+    rows_from_dicts,
     scalar_adamw_trace,
 )
 
@@ -133,10 +135,11 @@ def test_gradient_check():
                 total -= math.log(p + 1e-12) if label else math.log(1 - p + 1e-12)
             return total / len(batch)
 
-        _, grad = baseline.logistic_loss_and_gradient(w, batch)
+        _, grad = baseline.logistic_loss_and_gradient(
+            w, rows_from_dicts([f for f, _ in batch]), [y for _, y in batch])
         numeric = numeric_gradient(loss_fn, list(w))
         for i in range(dim):
-            analytic = grad.get(i, 0.0)
+            analytic = grad[i]
             denom = max(abs(numeric[i]), 1e-3)
             worst = max(worst, abs(analytic - numeric[i]) / denom)
     assert worst <= 1e-5
@@ -148,7 +151,7 @@ def test_adamw_scalar_checks():
     # single step from zero state, single-coordinate gradient
     for g in (2.0, -0.5, 1e-3):
         model = baseline.BaselineModel.zeros(cfg)
-        baseline.adamw_step(model, {1: g}, cfg)
+        baseline.adamw_step(model, dense_gradient({1: g}, model.dim), cfg)
         expected = scalar_adamw_trace(
             0.0, [g], cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, 0.0,
@@ -158,7 +161,7 @@ def test_adamw_scalar_checks():
     decay_cfg = baseline.TrainConfig(weight_decay=0.25)
     model = baseline.BaselineModel.zeros(decay_cfg)
     model.weights[0] = 1.5
-    baseline.adamw_step(model, {}, decay_cfg)
+    baseline.adamw_step(model, dense_gradient({}, model.dim), decay_cfg)
     expected = 1.5 - decay_cfg.learning_rate * 0.25 * 1.5
     assert abs(model.weights[0] - expected) <= 1e-12 * abs(expected)
     print("\nPASS AdamW scalar checks (rel tol 1e-12)")

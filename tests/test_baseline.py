@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wikilink.baseline import (
@@ -12,8 +12,8 @@ from wikilink.baseline import (
     BaselineModel,
     Prediction,
     TrainConfig,
+    FEATURIZE_CHUNK,
     adamw_step,
-    dot,
     featurize,
     fnv1a_64,
     load_model,
@@ -26,16 +26,42 @@ from wikilink.baseline import (
 from wikilink.errors import NumericError, ValidationError
 from wikilink.pairs import SentencePair
 
-from oracles import numeric_gradient, scalar_adamw_trace
+from oracles import (
+    dense_gradient,
+    numeric_gradient,
+    reference_adamw_arrays,
+    reference_dot,
+    reference_featurize,
+    reference_loss_and_gradient,
+    row_items,
+    rows_from_dicts,
+    scalar_adamw_trace,
+)
 
 
 def pair(premise, hypothesis, label=None, pair_id="p"):
     return SentencePair(pair_id, tuple(premise), tuple(hypothesis), label)
 
 
+def features(sp, hash_bits):
+    """The one row featurize gives for sp, as an index -> value dict."""
+    return dict(row_items(featurize([sp], hash_bits), 0))
+
+
+def loss_and_gradient(weights, batch):
+    """The array loss on (features dict, label) pairs."""
+    return logistic_loss_and_gradient(
+        weights, rows_from_dicts([f for f, _ in batch]), [y for _, y in batch])
+
+
+def step(model, gradient, config=None):
+    """adamw_step with an index -> value gradient spread over the weights."""
+    return adamw_step(model, dense_gradient(gradient, model.dim), config)
+
+
 class TestFeaturize:
     def test_identical_sides(self):
-        f = featurize(pair(["a"], ["a"]), hash_bits=8)
+        f = features(pair(["a"], ["a"]), hash_bits=8)
         base = 1 << 8
         assert f[base] == 1.0      # overlap count
         assert f[base + 1] == 1.0  # jaccard
@@ -43,18 +69,18 @@ class TestFeaturize:
         assert f[base + 3] == 1.0  # bias
 
     def test_disjoint_sides(self):
-        f = featurize(pair(["a"], ["b"]), hash_bits=8)
+        f = features(pair(["a"], ["b"]), hash_bits=8)
         base = 1 << 8
         assert f[base] == 0.0
         assert f[base + 1] == 0.0
 
     def test_both_empty(self):
-        f = featurize(pair([], []), hash_bits=8)
+        f = features(pair([], []), hash_bits=8)
         base = 1 << 8
         assert f == {base: 0.0, base + 1: 0.0, base + 2: 0.0, base + 3: 1.0}
 
     def test_indices_in_range(self):
-        f = featurize(pair(["a", "b", "c"], ["b", "d"]), hash_bits=6)
+        f = features(pair(["a", "b", "c"], ["b", "d"]), hash_bits=6)
         assert all(0 <= i < (1 << 6) + DENSE_BLOCK_SIZE for i in f)
 
     def test_hash_stability(self):
@@ -66,18 +92,53 @@ class TestFeaturize:
 
     def test_deterministic(self):
         p = pair(["x", "y"], ["y", "z"])
-        assert featurize(p, 10) == featurize(p, 10)
+        assert features(p, 10) == features(p, 10)
 
     def test_overlap_counts_multiplicity(self):
-        f = featurize(pair(["a", "a", "b"], ["a"]), hash_bits=8)
+        f = features(pair(["a", "a", "b"], ["a"]), hash_bits=8)
         assert f[1 << 8] == 2.0  # both premise 'a' occurrences overlap
+
+
+token = st.sampled_from(["a", "b", "é", "日本", "a\x1eb"]) | st.text(min_size=1, max_size=5)
+side = st.lists(token, max_size=6)
+
+
+class TestBatchesMatchScalarOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distinct=st.lists(st.tuples(side, side, st.integers(0, 1)), min_size=1, max_size=6),
+        n=st.integers(1, 2 * FEATURIZE_CHUNK + 5),
+        hash_bits=st.integers(1, 18),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_gradient_and_probabilities(self, distinct, n, hash_bits, seed):
+        # Cycling a few pairs out to n rows makes the batch span chunk boundaries.
+        pairs = [pair(*distinct[i % len(distinct)], pair_id=f"p{i}") for i in range(n)]
+        rows = featurize(pairs, hash_bits)
+        oracle = [reference_featurize(sp, hash_bits) for sp in pairs]
+        assert len(rows) == n
+        for r, f in enumerate(oracle):
+            assert row_items(rows, r) == list(f.items())
+
+        dim = (1 << hash_bits) + DENSE_BLOCK_SIZE
+        weights = np.random.default_rng(seed).normal(0.0, 2.0, dim)
+        labels = [sp.label for sp in pairs]
+        loss, grad = logistic_loss_and_gradient(weights, rows, labels)
+        ref_loss, ref_grad = reference_loss_and_gradient(weights, list(zip(oracle, labels)))
+        assert loss == ref_loss
+        assert grad.tobytes() == dense_gradient(ref_grad, dim).tobytes()
+
+        model = BaselineModel.zeros(TrainConfig(hash_bits=hash_bits))
+        model.weights[:] = weights
+        assert [p.probability for p in predict(model, pairs)] == [
+            sigmoid(reference_dot(weights, f)) for f in oracle]
 
 
 class TestAdamW:
     def test_zero_gradient_no_decay(self):
         cfg = TrainConfig(weight_decay=0.0)
         model = BaselineModel.zeros(cfg)
-        adamw_step(model, {0: 0.0}, cfg)
+        step(model, {0: 0.0}, cfg)
         assert model.step == 1
         assert not model.weights.any()
 
@@ -85,7 +146,7 @@ class TestAdamW:
     def test_single_step_matches_scalar_trace(self, g):
         cfg = TrainConfig(weight_decay=0.0)
         model = BaselineModel.zeros(cfg)
-        adamw_step(model, {5: g}, cfg)
+        step(model, {5: g}, cfg)
         expected = scalar_adamw_trace(
             0.0, [g], cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, 0.0,
@@ -96,11 +157,25 @@ class TestAdamW:
             -cfg.learning_rate * g / (abs(g) + cfg.adamw_eps), rel=1e-12
         )
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_steps_equal_formulas_bit_for_bit(self, weight_decay):
+        cfg = TrainConfig(hash_bits=6, weight_decay=weight_decay)
+        model = BaselineModel.zeros(cfg)
+        rng = np.random.default_rng(5)
+        model.weights[:] = rng.normal(size=model.dim)
+        w, m, v = model.weights.copy(), model.m.copy(), model.v.copy()
+        for t in range(1, 6):
+            g = rng.normal(size=model.dim) * (rng.random(model.dim) < 0.3)
+            adamw_step(model, g, cfg)
+            w, m, v = reference_adamw_arrays(w, m, v, g, t, cfg, model.bias_index)
+            assert model.weights.tobytes() == w.tobytes()
+            assert model.m.tobytes() == m.tobytes() and model.v.tobytes() == v.tobytes()
+
     def test_decay_only_shrinks_weight(self):
         cfg = TrainConfig(weight_decay=0.1)
         model = BaselineModel.zeros(cfg)
         model.weights[3] = 2.0
-        adamw_step(model, {}, cfg)
+        step(model, {}, cfg)
         assert model.weights[3] == pytest.approx(
             2.0 - cfg.learning_rate * 0.1 * 2.0, rel=1e-12
         )
@@ -109,7 +184,7 @@ class TestAdamW:
         cfg = TrainConfig(weight_decay=0.1)
         model = BaselineModel.zeros(cfg)
         model.weights[model.bias_index] = 2.0
-        adamw_step(model, {}, cfg)
+        step(model, {}, cfg)
         assert model.weights[model.bias_index] == 2.0
 
     def test_multi_step_matches_scalar_trace(self):
@@ -117,7 +192,7 @@ class TestAdamW:
         model = BaselineModel.zeros(cfg)
         gs = [0.3, -1.2, 0.7, 0.0, 2.5]
         for g in gs:
-            adamw_step(model, {2: g}, cfg)
+            step(model, {2: g}, cfg)
         expected = scalar_adamw_trace(
             0.0, gs, cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, cfg.weight_decay,
@@ -127,12 +202,12 @@ class TestAdamW:
     def test_non_finite_gradient_rejected(self):
         model = BaselineModel.zeros(TrainConfig())
         with pytest.raises(NumericError):
-            adamw_step(model, {0: float("nan")})
+            step(model, {0: float("nan")})
 
     def test_out_of_range_index_rejected(self):
         model = BaselineModel.zeros(TrainConfig(hash_bits=4))
         with pytest.raises(ValidationError):
-            adamw_step(model, {10**6: 1.0})
+            adamw_step(model, dense_gradient({10**6: 1.0}, 10**6 + 1))
 
 
 class TestGradient:
@@ -154,10 +229,10 @@ class TestGradient:
                     total -= math.log(p + 1e-12) if label else math.log(1 - p + 1e-12)
                 return total / len(batch)
 
-            _, grad = logistic_loss_and_gradient(w, batch)
+            _, grad = loss_and_gradient(w, batch)
             numeric = numeric_gradient(loss_fn, list(w))
             for i in range(dim):
-                analytic = grad.get(i, 0.0)
+                analytic = grad[i]
                 assert analytic == pytest.approx(numeric[i], rel=1e-5, abs=1e-7)
 
     def test_batch_permutation_invariance(self):
@@ -167,11 +242,11 @@ class TestGradient:
             for _ in range(10)
         ]
         w = np.array([rng.uniform(-1, 1) for _ in range(8)])
-        _, g1 = logistic_loss_and_gradient(w, batch)
+        _, g1 = loss_and_gradient(w, batch)
         shuffled = batch[::-1]
-        _, g2 = logistic_loss_and_gradient(w, shuffled)
-        for i in set(g1) | set(g2):
-            assert g1.get(i, 0.0) == pytest.approx(g2.get(i, 0.0), rel=1e-12, abs=1e-15)
+        _, g2 = loss_and_gradient(w, shuffled)
+        for i in range(len(w)):
+            assert g1[i] == pytest.approx(g2[i], rel=1e-12, abs=1e-15)
 
 
 class TestTrain:
@@ -179,7 +254,7 @@ class TestTrain:
         from wikilink import evaluate
 
         model = train(fixture_sentence_pairs, TrainConfig())
-        preds = [predict(model, sp) for sp in fixture_sentence_pairs]
+        preds = predict(model, fixture_sentence_pairs)
         gold = [sp.label for sp in fixture_sentence_pairs]
         matrix = evaluate.ConfusionMatrix(
             tp=sum(1 for p, g in zip(preds, gold) if p.label == 1 and g == 1),
@@ -200,7 +275,7 @@ class TestTrain:
     def test_single_example_moves_toward_label(self):
         sp = pair(["a"], ["a"], label=1)
         model = train([sp], TrainConfig(epochs=1))
-        assert predict(model, sp).probability > 0.5
+        assert predict(model, [sp])[0].probability > 0.5
 
     def test_deterministic_for_fixed_seed(self, fixture_sentence_pairs):
         cfg = TrainConfig(seed=42)
@@ -220,30 +295,30 @@ class TestTrain:
 class TestPredict:
     def test_zero_model_is_half_and_positive(self):
         model = BaselineModel.zeros(TrainConfig())
-        p = predict(model, pair(["a"], ["b"], pair_id="q"))
+        p, = predict(model, [pair(["a"], ["b"], pair_id="q")])
         assert p == Prediction("q", 0.5, 1)
 
     def test_below_threshold_is_zero(self):
         cfg = TrainConfig()
         model = BaselineModel.zeros(cfg)
         model.weights[model.bias_index] = -0.1
-        assert predict(model, pair(["a"], ["b"])).label == 0
+        assert predict(model, [pair(["a"], ["b"])])[0].label == 0
 
     def test_monotone_in_present_feature_weight(self):
         cfg = TrainConfig(hash_bits=8)
         model = BaselineModel.zeros(cfg)
         sp = pair(["a"], ["a"])
-        before = predict(model, sp).probability
+        before = predict(model, [sp])[0].probability
         jaccard_index = (1 << 8) + 1
         model.weights[jaccard_index] += 1.0
-        assert predict(model, sp).probability > before
+        assert predict(model, [sp])[0].probability > before
 
     @given(st.floats(-30, 30))
     def test_probability_strictly_inside_unit_interval(self, w):
         cfg = TrainConfig(hash_bits=4)
         model = BaselineModel.zeros(cfg)
         model.weights[:] = w
-        p = predict(model, pair(["a", "b"], ["b"]))
+        p, = predict(model, [pair(["a", "b"], ["b"])])
         assert 0.0 < p.probability < 1.0
 
 
@@ -257,7 +332,7 @@ class TestSerialization:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.config == model.config
         sp = fixture_sentence_pairs[0]
-        assert predict(loaded, sp) == predict(model, sp)
+        assert predict(loaded, [sp]) == predict(model, [sp])
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,16 @@ from wikilink.cli import main
 
 ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
              "prepared.tsv", "nodes.clean.tsv")
+# SHA-256 of the fixture artifacts under default flags. A change to the
+# order of any float sum changes the low digits of model.json, so it fails
+# here. Computed with CPython's math.exp/math.log on x86-64 glibc.
+GOLDEN_SHA256 = {
+    "model.json": "adfd1539d1e2c497a55946790def9774dd5cb7a71b0203b58066e69938dbfc5c",
+    "submission.csv": "a0c20750c241bc511356e9c62c562dd374c6747b4e435b758ffdc69fac1a7666",
+    "predictions.csv": "c51bd8ac3185408f35a89c9ee4849e846f4b4b8b58e484dfb86e2ee22cad892d",
+    "prepared.tsv": "027f715b130295973757058bd10371b8dd88dde7787c5e136f1a8e719a58dcbc",
+    "nodes.clean.tsv": "4dc7ec772dd59abec709fe8172878cfec46c5e4e8ca1be35d8ba3e68bff2b261",
+}
 
 
 def pipeline_argv(fixture_dir, out_dir, *extra):
@@ -147,6 +158,31 @@ def artifacts(fixture_dir, tmp_path_factory):
     return work
 
 
+class TestPredictTokenBudget:
+    @pytest.fixture
+    def model(self, fixture_dir, tmp_path):
+        path = tmp_path / "model.json"
+        assert main(["train", "--pairs", str(fixture_dir / "train.csv"),
+                     "--nodes", str(fixture_dir / "nodes.tsv"),
+                     "--max-tokens", "2", "--model", str(path)]) == 0
+        return path
+
+    def predict(self, fixture_dir, model, out, *extra):
+        return main(["predict", "--model", str(model), "--pairs", str(fixture_dir / "train.csv"),
+                     "--nodes", str(fixture_dir / "nodes.tsv"), "--labeled",
+                     "--output", str(out), *extra])
+
+    def test_predict_uses_the_model_budget(self, fixture_dir, model, tmp_path):
+        assert self.predict(fixture_dir, model, tmp_path / "default.csv") == 0
+        assert self.predict(fixture_dir, model, tmp_path / "explicit.csv", "--max-tokens", "2") == 0
+        assert (tmp_path / "default.csv").read_text() == (tmp_path / "explicit.csv").read_text()
+
+    def test_other_budget_rejected(self, fixture_dir, model, tmp_path, capsys):
+        assert self.predict(fixture_dir, model, tmp_path / "p.csv", "--max-tokens", "128") == 3
+        assert "max_tokens 2" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+
 class TestTrainPredictEvalSubmit:
     def test_model_written(self, artifacts):
         payload = json.loads((artifacts / "model.json").read_text())
@@ -192,6 +228,12 @@ class TestPipeline:
         assert self.run_pipeline(fixture_dir, tmp_path / "b") == 0
         for name in ARTIFACTS:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_artifacts_match_golden_digests(self, fixture_dir, tmp_path):
+        assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ARTIFACTS}
+        assert digests == GOLDEN_SHA256
 
     def test_missing_input_fails_with_io(self, tmp_path, capsys):
         code = main([

@@ -11,7 +11,7 @@ from wikilink.textclean import (
     strip_punctuation,
 )
 
-from oracles import reference_balance, reference_remove_spans
+from oracles import reference_balance, reference_remove_spans, reference_strip_punctuation
 
 brace_text = st.text(alphabet="{}a ", max_size=20)
 messy_text = st.text(
@@ -91,6 +91,17 @@ class TestPunctAndSpace:
     )
     def test_strip_punctuation(self, text, expected):
         assert strip_punctuation(text) == expected
+
+    @given(
+        messy_text | st.text(),
+        st.none() | st.frozensets(st.characters(exclude_characters="{} \t\r\n\f\v")),
+    )
+    def test_strip_punctuation_matches_reference(self, text, punct):
+        if punct is None:
+            assert strip_punctuation(text) == reference_strip_punctuation(text)
+        else:
+            config = CleanConfig(punctuation_set=punct)
+            assert strip_punctuation(text, config) == reference_strip_punctuation(text, punct)
 
     @pytest.mark.parametrize(
         "text,expected",
