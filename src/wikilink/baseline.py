@@ -21,11 +21,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ParseError, ValidationError
 from .pairs import SentencePair
 
 DENSE_BLOCK_SIZE = 4  # overlap, jaccard, length diff, bias
@@ -65,6 +65,9 @@ class TrainConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
+        for key, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_tokens < 1:
@@ -83,6 +86,9 @@ class TrainConfig:
             raise ValueError("hash_bits must be in [1, 30]")
         if not 0 < self.decision_threshold < 1:
             raise ValueError("decision_threshold must be in (0, 1)")
+
+
+TRAIN_FIELD_TYPES = get_type_hints(TrainConfig)  # field name -> int or float
 
 
 @dataclass(frozen=True)
@@ -318,12 +324,9 @@ def logistic_loss_and_gradient(
     return loss * inv, np.bincount(rows.indices, weights=terms, minlength=weights.shape[0])
 
 
-def adamw_step(
-    model: BaselineModel,
-    gradient: np.ndarray,
-    config: TrainConfig | None = None,
-) -> BaselineModel:
-    """One decoupled-weight-decay Adam update; mutates and returns the model.
+def adamw_step(model: BaselineModel, gradient: np.ndarray) -> BaselineModel:
+    """One decoupled-weight-decay Adam update under `model.config`; mutates
+    and returns the model.
 
     Moments use beta1/beta2 with bias correction; eps sits outside the
     square root: w -= lr * m_hat / (sqrt(v_hat) + eps). Weight decay is
@@ -331,8 +334,7 @@ def adamw_step(
     and the weights are updated in place, with the float operations of
     the formulas in the order written.
     """
-    if config is None:
-        config = model.config
+    config = model.config
     if not np.isfinite(gradient).all():
         raise NumericError("non-finite gradient entry; aborting training")
     if gradient.shape != model.weights.shape:
@@ -372,10 +374,8 @@ def adamw_step(
     return model
 
 
-def train(examples: Iterable[SentencePair], config: TrainConfig | None = None) -> BaselineModel:
+def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineModel:
     """Mini-batch AdamW on logistic loss; deterministic for a fixed seed."""
-    if config is None:
-        config = TrainConfig()
     examples = list(examples)
     if not examples:
         raise ValidationError("cannot train on an empty example set")
@@ -395,7 +395,7 @@ def train(examples: Iterable[SentencePair], config: TrainConfig | None = None) -
             loss, grad = logistic_loss_and_gradient(
                 model.weights, rows.take(batch), [labels[i] for i in batch])
             model.loss_history.append(loss)
-            adamw_step(model, grad, config)
+            adamw_step(model, grad)
     return model
 
 
@@ -426,14 +426,44 @@ def save_model(model: BaselineModel, stream: IO) -> None:
 
 
 def load_model(stream: IO) -> BaselineModel:
-    payload = json.load(stream)
+    """Read a model that save_model wrote; any other input fails closed.
+
+    Text that is not a JSON object is a ParseError. A bad format tag, a
+    config without exactly the TrainConfig fields, each of its JSON type
+    and in range, or weights that are not finite numbers of the length
+    hash_bits gives, is a ValidationError.
+    """
+    try:
+        payload = json.load(stream)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        raise ParseError(f"model file is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError("model file is not a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ValidationError(f"unsupported model format {payload.get('format')!r}")
-    config = TrainConfig(**payload["config"])
-    weights = np.asarray(payload["weights"], dtype=float)
+    raw, weights = payload.get("config"), payload.get("weights")
+    if not isinstance(raw, dict) or raw.keys() != TRAIN_FIELD_TYPES.keys():
+        raise ValidationError("model config must hold exactly the keys "
+                              + ", ".join(TRAIN_FIELD_TYPES))
+    for key, kind in TRAIN_FIELD_TYPES.items():
+        value = raw[key]
+        # JSON has one number type: an int may fill a float field; a bool fills none.
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValidationError(
+                f"model config {key} must be a JSON {kind.__name__}, got {value!r}")
+    if not isinstance(weights, list) or not set(map(type, weights)) <= {int, float}:
+        raise ValidationError("model weights must be a list of numbers")
+    try:
+        config = TrainConfig(**{key: kind(raw[key]) for key, kind in TRAIN_FIELD_TYPES.items()})
+        weights = np.asarray(weights, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad model: {exc}") from None
     expected = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
     if weights.shape[0] != expected:
         raise ValidationError(
             f"weight vector length {weights.shape[0]} does not match hash_bits {config.hash_bits}"
         )
+    if not np.isfinite(weights).all():
+        raise ValidationError("model weights must be finite")
     return BaselineModel(config=config, weights=weights, m=np.zeros_like(weights), v=np.zeros_like(weights))

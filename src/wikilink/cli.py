@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 from pathlib import Path
 
 from . import baseline, dataset, evaluate, pairs as pairs_mod, textclean
@@ -87,11 +86,10 @@ class PipelineConfig:
 
 
 _PATH_KEYS = ("nodes", "train_pairs", "test_pairs", "output_dir", "model")
-_TRAIN_TYPES = typing.get_type_hints(baseline.TrainConfig)
 _SECTION_KEYS = {
     "paths": _PATH_KEYS,
     "clean": textclean.STAGES,
-    "train": tuple(_TRAIN_TYPES),
+    "train": tuple(baseline.TRAIN_FIELD_TYPES),
     "run": ("strict_join",),
 }
 
@@ -117,7 +115,8 @@ def _read_config_file(path: str) -> PipelineConfig:
             s for s in textclean.STAGES if parser.getboolean("clean", s, fallback=True)
         )),
         train=baseline.TrainConfig(**{
-            key: _TRAIN_TYPES[key](parser.get("train", key)) for key in parser.options("train")
+            key: baseline.TRAIN_FIELD_TYPES[key](parser.get("train", key))
+            for key in parser.options("train")
         }),
         strict_join=parser.getboolean("run", "strict_join", fallback=True),
     )
@@ -133,7 +132,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
                 setattr(cfg, key, value)
         cfg.train = dataclasses.replace(cfg.train, **{
             key: getattr(args, key)
-            for key in _TRAIN_TYPES
+            for key in baseline.TRAIN_FIELD_TYPES
             if getattr(args, key, None) is not None
         })
         cfg.clean = textclean.CleanConfig(stage_mask=tuple(
@@ -180,14 +179,13 @@ def _sentence_pairs(cfg: PipelineConfig, pairs_path: str,
                     table: dict[int, dataset.NodeRecord],
                     labeled: bool) -> list[pairs_mod.SentencePair]:
     """Join a pairs file against `table` and build each sentence pair once."""
-    budget = pairs_mod.PairConfig(cfg.train.max_tokens)
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
             dataset.parse_pairs(src, labeled=labeled), table,
             strict=cfg.strict_join, counters=counters,
         )
-        built = [pairs_mod.build_pair(pair, n1.text, n2.text, budget)
+        built = [pairs_mod.build_pair(pair, n1.text, n2.text, cfg.train.max_tokens)
                  for pair, n1, n2 in joined]
     log(f"pairs: {len(built)} from {pairs_path}" + (
         f" ({counters.skipped_joins} skipped)" if counters.skipped_joins else ""))
@@ -324,19 +322,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
-def _add_common_config_flags(p: argparse.ArgumentParser, train_flags: bool = False) -> None:
+def _config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
+    """--config plus the named flag groups, so a subcommand takes only the
+    settings its handler reads; any other flag is a usage error."""
     p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--lenient-join", action="store_true",
-                   help="skip pairs referencing missing nodes instead of failing")
-    p.add_argument("--max-tokens", type=int, dest="max_tokens",
-                   help="per-side token budget (default 128)")
-    for stage in textclean.STAGES:
-        p.add_argument(f"--no-{stage}", action="store_true",
-                       help=f"disable the {stage} cleaning stage")
-    if train_flags:
+    if "clean" in groups:
+        for stage in textclean.STAGES:
+            p.add_argument(f"--no-{stage}", action="store_true",
+                           help=f"disable the {stage} cleaning stage")
+    if "pairs" in groups:
+        p.add_argument("--lenient-join", action="store_true",
+                       help="skip pairs referencing missing nodes instead of failing")
+        p.add_argument("--max-tokens", type=int, help="per-side token budget (default 128)")
+    if "train" in groups:
         for key in ("batch_size", "learning_rate", "epochs", "seed", "hash_bits",
                     "weight_decay", "decision_threshold"):
-            p.add_argument("--" + key.replace("_", "-"), type=_TRAIN_TYPES[key])
+            p.add_argument("--" + key.replace("_", "-"), type=baseline.TRAIN_FIELD_TYPES[key])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -351,7 +352,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-", help="cleaned TSV path or - for stdout")
     p.add_argument("--report", action="store_true",
                    help="emit an aggregate cleaning report line")
-    _add_common_config_flags(p)
+    _config_flags(p, "clean")
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("stats", help="label statistics of a labeled pairs CSV")
@@ -363,14 +364,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True)
     p.add_argument("--output", default="-")
     p.add_argument("--unlabeled", action="store_true")
-    _add_common_config_flags(p)
+    _config_flags(p, "pairs")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train the baseline classifier")
     p.add_argument("--pairs", required=True)
     p.add_argument("--nodes", required=True)
     p.add_argument("--model", dest="model_out", help="output model file")
-    _add_common_config_flags(p, train_flags=True)
+    _config_flags(p, "pairs", "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score pairs with a trained model")
@@ -380,7 +381,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="-")
     p.add_argument("--labeled", action="store_true",
                    help="pairs file carries labels (evaluation runs)")
-    _add_common_config_flags(p)
+    _config_flags(p, "pairs")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="macro-F1 report for predictions vs gold")
@@ -399,7 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-pairs", dest="test_pairs")
     p.add_argument("--output-dir", dest="output_dir")
     p.add_argument("--model")
-    _add_common_config_flags(p, train_flags=True)
+    _config_flags(p, "clean", "pairs", "train")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

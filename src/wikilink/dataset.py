@@ -49,11 +49,9 @@ class ParseCounters:
     skipped_joins: int = 0
 
 
-def _decode_lines(stream: IO) -> Iterator[str]:
+def _stripped_lines(stream: IO) -> Iterator[str]:
     for raw in stream:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw.rstrip("\r\n") if raw.endswith("\n") or raw.endswith("\r") else raw
+        yield raw.rstrip("\r\n")
 
 
 def _parse_node_id(token: str, line_no: int) -> int:
@@ -73,7 +71,7 @@ def parse_nodes(stream: IO, counters: ParseCounters | None = None) -> Iterator[N
     text field, which the two-column format cannot represent.
     """
     seen: set[int] = set()
-    for line_no, line in enumerate(_decode_lines(stream), start=1):
+    for line_no, line in enumerate(_stripped_lines(stream), start=1):
         if line == "":
             continue
         fields = line.split("\t")
@@ -105,7 +103,7 @@ def parse_pairs(stream: IO, labeled: bool) -> Iterator[PairRecord]:
     """Yield PairRecords in file order after exact header validation."""
     expected = LABELED_HEADER if labeled else UNLABELED_HEADER
     ncols = 4 if labeled else 3
-    lines = _decode_lines(stream)
+    lines = _stripped_lines(stream)
     try:
         header = next(lines)
     except StopIteration:

@@ -39,14 +39,18 @@ _MISMATCH_CAP = 10
 
 
 def confusion(predictions: Iterable[Prediction], gold: Iterable[PairRecord]) -> ConfusionMatrix:
-    """Count by exact pair_id match; both sides must cover the same ids."""
+    """Count by exact pair_id match; both sides must cover the same ids, each once."""
     pred_by_id: dict[str, int] = {}
     for p in predictions:
+        if p.pair_id in pred_by_id:
+            raise ValidationError(f"duplicate prediction id {p.pair_id}")
         pred_by_id[p.pair_id] = p.label
     gold_by_id: dict[str, int] = {}
     for g in gold:
         if g.label is None:
             raise ValidationError(f"gold pair {g.pair_id} is unlabeled")
+        if g.pair_id in gold_by_id:
+            raise ValidationError(f"duplicate gold id {g.pair_id}")
         gold_by_id[g.pair_id] = g.label
 
     only_pred = sorted(pred_by_id.keys() - gold_by_id.keys())
@@ -143,4 +147,7 @@ def read_predictions(stream: IO) -> Iterator[Prediction]:
             prob = float(fields[1])
         except ValueError:
             raise ParseError(f"bad probability {fields[1]!r}", line_no) from None
+        if not 0.0 <= prob <= 1.0:  # false for nan too
+            raise ValidationError(
+                f"line {line_no}: probability must be in [0, 1], got {fields[1]!r}")
         yield Prediction(fields[0], prob, int(fields[2]))

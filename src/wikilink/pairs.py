@@ -17,15 +17,6 @@ _WS_SPLIT = re.compile("[" + re.escape(WHITESPACE_CHARS) + "]+")
 
 
 @dataclass(frozen=True)
-class PairConfig:
-    max_tokens: int = 128
-
-    def __post_init__(self):
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-
-
-@dataclass(frozen=True)
 class SentencePair:
     pair_id: str
     premise_tokens: tuple[str, ...]
@@ -33,24 +24,22 @@ class SentencePair:
     label: int | None = None
 
 
-def tokenize(text: str) -> list[str]:
-    """Split on maximal whitespace runs; never yields empty tokens."""
-    return [t for t in _WS_SPLIT.split(text) if t]
+def tokenize(text: str, max_tokens: int) -> tuple[str, ...]:
+    """The first max_tokens tokens between maximal whitespace runs. Of the
+    max_tokens + 2 pieces at most, only the first and the last can be empty."""
+    return tuple([t for t in _WS_SPLIT.split(text, max_tokens + 1) if t][:max_tokens])
 
 
 def build_pair(
     pair: PairRecord,
     premise_text: str,
     hypothesis_text: str,
-    config: PairConfig | None = None,
+    max_tokens: int,
 ) -> SentencePair:
-    if config is None:
-        config = PairConfig()
-    k = config.max_tokens
     return SentencePair(
         pair_id=pair.pair_id,
-        premise_tokens=tuple(tokenize(premise_text)[:k]),
-        hypothesis_tokens=tuple(tokenize(hypothesis_text)[:k]),
+        premise_tokens=tokenize(premise_text, max_tokens),
+        hypothesis_tokens=tokenize(hypothesis_text, max_tokens),
         label=pair.label,
     )
 

@@ -22,14 +22,13 @@ _WS_RUN = re.compile("[" + re.escape(WHITESPACE_CHARS) + "]+")
 # ASCII punctuation with `{` and `}` excluded: braces belong to the debrace
 # stage and must survive depunct when depunct runs alone.
 DEFAULT_PUNCTUATION = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`|~")
+_DELETIONS = dict.fromkeys(map(ord, DEFAULT_PUNCTUATION))  # for str.translate
 
 STAGES = ("balance", "debrace", "depunct", "despace")
 
 
 @dataclass(frozen=True)
 class CleanConfig:
-    punctuation_set: frozenset[str] = DEFAULT_PUNCTUATION
-    collapse_whitespace: bool = True
     stage_mask: tuple[str, ...] = STAGES
 
     def __post_init__(self):
@@ -41,20 +40,6 @@ class CleanConfig:
             raise ValueError(
                 f"stage_mask must follow the fixed order {STAGES}, got {self.stage_mask}"
             )
-        bad = {c for c in self.punctuation_set if c in "{}" or c in WHITESPACE_CHARS}
-        if bad:
-            raise ValueError(f"punctuation_set may not contain {sorted(bad)}")
-        object.__setattr__(self, "punctuation_set", frozenset(self.punctuation_set))
-        # Not a field: derived from punctuation_set for str.translate.
-        object.__setattr__(self, "deletions", _deletion_table(self.punctuation_set))
-
-
-def _deletion_table(punct: frozenset[str]) -> dict[int, None]:
-    """str.translate table deleting each one-character member of punct."""
-    return {ord(ch): None for ch in punct if len(ch) == 1}
-
-
-_DEFAULT_DELETIONS = _deletion_table(DEFAULT_PUNCTUATION)
 
 
 @dataclass
@@ -77,27 +62,11 @@ def balance_curly_braces(text: str) -> str:
     Surplus `{` are removed leftmost-first, surplus `}` rightmost-first;
     the strip applies even when the input was already balanced.
     """
-    opening = text.count("{")
-    closing = text.count("}")
-    if opening > closing:
-        # Leftmost-first removal of k surplus `{` == drop the first k `{`.
-        surplus = opening - closing
-        out = []
-        for ch in text:
-            if ch == "{" and surplus:
-                surplus -= 1
-                continue
-            out.append(ch)
-        text = "".join(out)
-    elif closing > opening:
-        surplus = closing - opening
-        out = []
-        for ch in reversed(text):
-            if ch == "}" and surplus:
-                surplus -= 1
-                continue
-            out.append(ch)
-        text = "".join(reversed(out))
+    surplus = text.count("{") - text.count("}")
+    if surplus > 0:
+        text = text.replace("{", "", surplus)
+    elif surplus < 0:
+        text = text[::-1].replace("}", "", -surplus)[::-1]
     return text.strip()
 
 
@@ -121,8 +90,8 @@ def remove_brace_spans(text: str) -> str:
     return "".join(out)
 
 
-def strip_punctuation(text: str, config: CleanConfig | None = None) -> str:
-    return text.translate(_DEFAULT_DELETIONS if config is None else config.deletions)
+def strip_punctuation(text: str) -> str:
+    return text.translate(_DELETIONS)
 
 
 def normalize_whitespace(text: str) -> str:
@@ -142,8 +111,8 @@ def clean(text: str, config: CleanConfig | None = None) -> tuple[str, CleanRepor
         text = remove_brace_spans(text)
         report.chars_removed_debrace = before_len - len(text)
     if "depunct" in config.stage_mask:
-        text = strip_punctuation(text, config)
-    if "despace" in config.stage_mask and config.collapse_whitespace:
+        text = strip_punctuation(text)
+    if "despace" in config.stage_mask:
         text = normalize_whitespace(text)
     report.output_length = len(text)
     return text, report

@@ -6,18 +6,20 @@ pseudocode, the metric is recomputed from raw label lists, and the
 gradient oracle is central finite differences. The featurizer, dot
 product, loss, AdamW formulas and punctuation filter below are the
 scalar or out-of-place versions that the library's array code must
-match bit for bit.
+match bit for bit; the tokenizer splits the whole text where the
+library stops after the token budget.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from wikilink.baseline import FeatureRows, fnv1a_64, sigmoid
 from wikilink.pairs import SentencePair
-from wikilink.textclean import DEFAULT_PUNCTUATION
+from wikilink.textclean import DEFAULT_PUNCTUATION, WHITESPACE_CHARS
 
 
 def reference_balance(text: str) -> str:
@@ -124,9 +126,14 @@ def reference_adamw_arrays(weights, m, v, gradient, t, config, bias_index):
     return weights - update, m, v
 
 
-def reference_strip_punctuation(text: str, punct: frozenset[str] = DEFAULT_PUNCTUATION) -> str:
+def reference_strip_punctuation(text: str) -> str:
     """Character-by-character punctuation deletion."""
-    return "".join(ch for ch in text if ch not in punct)
+    return "".join(ch for ch in text if ch not in DEFAULT_PUNCTUATION)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Every token between maximal whitespace runs, by splitting the whole text."""
+    return [t for t in re.split("[" + re.escape(WHITESPACE_CHARS) + "]+", text) if t]
 
 
 def reference_featurize(pair: SentencePair, hash_bits: int) -> dict[int, float]:

@@ -56,17 +56,16 @@ def test_pseudocode_fidelity():
 
 def test_cleaning_invariants():
     corpus = _random_corpus(10_000, 40, seed=2)
-    cfg = textclean.CleanConfig()
     violations = 0
     for text in corpus:
         balanced = textclean.balance_curly_braces(text)
         if balanced.count("{") != balanced.count("}"):
             violations += 1
-        out, _ = textclean.clean(text, cfg)
-        again, _ = textclean.clean(out, cfg)
+        out, _ = textclean.clean(text)
+        again, _ = textclean.clean(out)
         if again != out:
             violations += 1
-        if any(c in cfg.punctuation_set for c in out):
+        if any(c in textclean.DEFAULT_PUNCTUATION for c in out):
             violations += 1
         if re.search(r"\s\s", out):
             violations += 1
@@ -151,7 +150,7 @@ def test_adamw_scalar_checks():
     # single step from zero state, single-coordinate gradient
     for g in (2.0, -0.5, 1e-3):
         model = baseline.BaselineModel.zeros(cfg)
-        baseline.adamw_step(model, dense_gradient({1: g}, model.dim), cfg)
+        baseline.adamw_step(model, dense_gradient({1: g}, model.dim))
         expected = scalar_adamw_trace(
             0.0, [g], cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, 0.0,
@@ -161,7 +160,7 @@ def test_adamw_scalar_checks():
     decay_cfg = baseline.TrainConfig(weight_decay=0.25)
     model = baseline.BaselineModel.zeros(decay_cfg)
     model.weights[0] = 1.5
-    baseline.adamw_step(model, dense_gradient({}, model.dim), decay_cfg)
+    baseline.adamw_step(model, dense_gradient({}, model.dim))
     expected = 1.5 - decay_cfg.learning_rate * 0.25 * 1.5
     assert abs(model.weights[0] - expected) <= 1e-12 * abs(expected)
     print("\nPASS AdamW scalar checks (rel tol 1e-12)")

@@ -54,9 +54,9 @@ def loss_and_gradient(weights, batch):
         weights, rows_from_dicts([f for f, _ in batch]), [y for _, y in batch])
 
 
-def step(model, gradient, config=None):
+def step(model, gradient):
     """adamw_step with an index -> value gradient spread over the weights."""
-    return adamw_step(model, dense_gradient(gradient, model.dim), config)
+    return adamw_step(model, dense_gradient(gradient, model.dim))
 
 
 class TestFeaturize:
@@ -138,7 +138,7 @@ class TestAdamW:
     def test_zero_gradient_no_decay(self):
         cfg = TrainConfig(weight_decay=0.0)
         model = BaselineModel.zeros(cfg)
-        step(model, {0: 0.0}, cfg)
+        step(model, {0: 0.0})
         assert model.step == 1
         assert not model.weights.any()
 
@@ -146,7 +146,7 @@ class TestAdamW:
     def test_single_step_matches_scalar_trace(self, g):
         cfg = TrainConfig(weight_decay=0.0)
         model = BaselineModel.zeros(cfg)
-        step(model, {5: g}, cfg)
+        step(model, {5: g})
         expected = scalar_adamw_trace(
             0.0, [g], cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, 0.0,
@@ -166,7 +166,7 @@ class TestAdamW:
         w, m, v = model.weights.copy(), model.m.copy(), model.v.copy()
         for t in range(1, 6):
             g = rng.normal(size=model.dim) * (rng.random(model.dim) < 0.3)
-            adamw_step(model, g, cfg)
+            adamw_step(model, g)
             w, m, v = reference_adamw_arrays(w, m, v, g, t, cfg, model.bias_index)
             assert model.weights.tobytes() == w.tobytes()
             assert model.m.tobytes() == m.tobytes() and model.v.tobytes() == v.tobytes()
@@ -175,7 +175,7 @@ class TestAdamW:
         cfg = TrainConfig(weight_decay=0.1)
         model = BaselineModel.zeros(cfg)
         model.weights[3] = 2.0
-        step(model, {}, cfg)
+        step(model, {})
         assert model.weights[3] == pytest.approx(
             2.0 - cfg.learning_rate * 0.1 * 2.0, rel=1e-12
         )
@@ -184,7 +184,7 @@ class TestAdamW:
         cfg = TrainConfig(weight_decay=0.1)
         model = BaselineModel.zeros(cfg)
         model.weights[model.bias_index] = 2.0
-        step(model, {}, cfg)
+        step(model, {})
         assert model.weights[model.bias_index] == 2.0
 
     def test_multi_step_matches_scalar_trace(self):
@@ -192,7 +192,7 @@ class TestAdamW:
         model = BaselineModel.zeros(cfg)
         gs = [0.3, -1.2, 0.7, 0.0, 2.5]
         for g in gs:
-            step(model, {2: g}, cfg)
+            step(model, {2: g})
         expected = scalar_adamw_trace(
             0.0, gs, cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, cfg.weight_decay,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import wikilink
-from wikilink import dataset, pairs
+from wikilink import baseline, dataset, pairs
 from wikilink.cli import main
+
+SRC = str(Path(wikilink.__file__).resolve().parents[1])
 
 ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
              "prepared.tsv", "nodes.clean.tsv")
@@ -35,6 +38,12 @@ def pipeline_argv(fixture_dir, out_dir, *extra):
         "--output-dir", str(out_dir),
         *extra,
     ]
+
+
+def src_env(**extra):
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -268,14 +277,11 @@ class TestPipeline:
         assert counts == {"node_rows": 400, "pairs_built": 200 + 200}
 
     def test_artifacts_independent_of_hash_seed(self, fixture_dir, tmp_path):
-        src = str(Path(wikilink.__file__).resolve().parents[1])
         for seed in (1, 2):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
             proc = subprocess.run(
                 [sys.executable, "-m", "wikilink.cli",
                  *pipeline_argv(fixture_dir, tmp_path / f"seed{seed}")],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, env=src_env(PYTHONHASHSEED=str(seed)),
             )
             assert proc.returncode == 0, proc.stderr
         for name in ARTIFACTS:
@@ -363,7 +369,64 @@ class TestUsage:
         proc = subprocess.run(
             [sys.executable, "-m", "wikilink.cli", "stats",
              "--pairs", str(fixture_dir / "train.csv")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert "Frequency" in proc.stdout
+
+    # "subcommand --flag" -> its other arguments; the subcommand never reads the flag's setting.
+    @pytest.mark.parametrize("case,rest", [
+        ("train --no-debrace", ["--pairs", "p.csv", "--nodes", "n.tsv"]),
+        ("predict --no-depunct", ["--model", "m.json", "--pairs", "p.csv", "--nodes", "n.tsv"]),
+        ("prepare --no-balance", ["--pairs", "p.csv", "--nodes", "n.tsv"]),
+        ("clean --max-tokens", ["3"]),
+        ("clean --lenient-join", []),
+    ])
+    def test_unread_flag_is_a_usage_error(self, case, rest, capsys):
+        command, flag = case.split()
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, *rest])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
+def _with(part, key, value):
+    """An edit setting payload[part][key] = value, then writing the JSON."""
+    def edit(payload):
+        payload[part][key] = value
+        return json.dumps(payload)
+    return edit
+
+
+# case -> (edit turning a valid model payload into file text, exit code of `predict`)
+BAD_MODELS = {
+    "unchanged": (json.dumps, 0),
+    "int learning_rate": (_with("config", "learning_rate", 1), 0),  # JSON has one number type
+    "truncated json": (lambda p: json.dumps(p)[:100], 2),
+    "top-level list": (lambda p: json.dumps([p]), 2),
+    "list nested too deep": (lambda p: "[" * 100_000 + "]" * 100_000, 2),
+    "unknown config key": (_with("config", "bogus", 1), 3),
+    "no config": (lambda p: json.dumps({k: v for k, v in p.items() if k != "config"}), 3),
+    "string weight": (_with("weights", 3, "0.5"), 3),
+    "string epochs": (_with("config", "epochs", "3"), 3),
+    "bool epochs": (_with("config", "epochs", True), 3),
+    "zero max_tokens": (_with("config", "max_tokens", 0), 3),
+    "nan weight": (_with("weights", 0, float("nan")), 3),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODELS)
+def test_bad_model_file_fails_closed(case, fixture_dir, tmp_path, capsys):
+    edit, expected = BAD_MODELS[case]
+    cfg = baseline.TrainConfig(hash_bits=4)
+    payload = {"format": baseline.MODEL_FORMAT, "config": dataclasses.asdict(cfg),
+               "hash_bits": cfg.hash_bits, "weights": [0.0] * 20}
+    (tmp_path / "model.json").write_text(edit(payload))
+    code = main(["predict", "--model", str(tmp_path / "model.json"),
+                 "--pairs", str(fixture_dir / "test.csv"),
+                 "--nodes", str(fixture_dir / "nodes.tsv"), "--output", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert (tmp_path / "p.csv").exists() == (code == 0)

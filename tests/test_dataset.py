@@ -47,10 +47,6 @@ class TestParseNodes:
         with pytest.raises(ParseError, match="line 1"):
             list(parse_nodes(io.StringIO("1\ta\tb\n")))
 
-    def test_bytes_stream(self):
-        recs = list(parse_nodes(io.BytesIO("9\tvérité\n".encode())))
-        assert recs == [NodeRecord(9, "vérité")]
-
     def test_text_may_contain_commas_and_quotes(self):
         recs = list(parse_nodes(io.StringIO('3\ta, "b" c\n')))
         assert recs[0].text == 'a, "b" c'

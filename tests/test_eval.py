@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wikilink.baseline import Prediction
+from wikilink.cli import main
 from wikilink.dataset import PairRecord
 from wikilink.errors import ValidationError
 from wikilink.evaluate import (
@@ -139,3 +140,36 @@ class TestPredictionsFile:
         write_predictions([original], buf)
         buf.seek(0)
         assert next(read_predictions(buf)).probability == original.probability
+
+
+class TestFailsClosed:
+    def test_duplicate_prediction_id_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate prediction id p1"):
+            confusion(preds([0, 1]) + [Prediction("p1", 0.1, 0)], gold([0, 1]))
+
+    def test_duplicate_gold_id_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate gold id p0"):
+            confusion(preds([0, 1]), gold([0, 1]) + [PairRecord("p0", 0, 1, 0)])
+
+    @pytest.mark.parametrize("prob", ["nan", "7.5", "-0.25", "inf"])
+    def test_probability_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ValidationError, match="probability"):
+            list(read_predictions(io.StringIO(f"id,prob,label\np0,{prob},1\n")))
+
+    def test_probability_bounds_accepted(self):
+        rows = list(read_predictions(io.StringIO("id,prob,label\np0,0.0,0\np1,1.0,1\n")))
+        assert [p.probability for p in rows] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("extra_prediction,extra_gold", [
+        ("p0,0.9,1\n", ""),
+        ("", "p0,0,1,0\n"),
+        ("p2,nan,1\n", "p2,0,1,1\n"),
+        ("p2,7.5,1\n", "p2,0,1,1\n"),
+    ], ids=["duplicate prediction", "duplicate gold", "nan probability", "probability 7.5"])
+    def test_eval_exits_3(self, extra_prediction, extra_gold, tmp_path, capsys):
+        (tmp_path / "pred.csv").write_text("id,prob,label\np0,0.1,0\np1,0.9,1\n" + extra_prediction)
+        (tmp_path / "gold.csv").write_text("id,id1,id2,label\np0,0,1,0\np1,0,1,1\n" + extra_gold)
+        code = main(["eval", "--predictions", str(tmp_path / "pred.csv"),
+                     "--pairs", str(tmp_path / "gold.csv")])
+        assert code == 3
+        assert "error [validation]" in capsys.readouterr().err

@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wikilink.textclean import (
+    DEFAULT_PUNCTUATION,
+    WHITESPACE_CHARS,
     CleanConfig,
     balance_curly_braces,
     clean,
@@ -92,16 +94,9 @@ class TestPunctAndSpace:
     def test_strip_punctuation(self, text, expected):
         assert strip_punctuation(text) == expected
 
-    @given(
-        messy_text | st.text(),
-        st.none() | st.frozensets(st.characters(exclude_characters="{} \t\r\n\f\v")),
-    )
-    def test_strip_punctuation_matches_reference(self, text, punct):
-        if punct is None:
-            assert strip_punctuation(text) == reference_strip_punctuation(text)
-        else:
-            config = CleanConfig(punctuation_set=punct)
-            assert strip_punctuation(text, config) == reference_strip_punctuation(text, punct)
+    @given(messy_text | st.text())
+    def test_strip_punctuation_matches_reference(self, text):
+        assert strip_punctuation(text) == reference_strip_punctuation(text)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -117,13 +112,8 @@ class TestPunctAndSpace:
 
 
 class TestCleanConfig:
-    def test_rejects_braces_in_punctuation(self):
-        with pytest.raises(ValueError):
-            CleanConfig(punctuation_set=frozenset("{.,"))
-
-    def test_rejects_whitespace_in_punctuation(self):
-        with pytest.raises(ValueError):
-            CleanConfig(punctuation_set=frozenset(". "))
+    def test_punctuation_holds_no_brace_or_whitespace(self):
+        assert not DEFAULT_PUNCTUATION & set("{}" + WHITESPACE_CHARS)
 
     def test_rejects_reordered_stages(self):
         with pytest.raises(ValueError):
@@ -175,8 +165,7 @@ class TestClean:
     @given(messy_text)
     def test_output_character_guarantees(self, text):
         out, _ = clean(text)
-        cfg = CleanConfig()
-        assert not any(c in cfg.punctuation_set for c in out)
+        assert not any(c in DEFAULT_PUNCTUATION for c in out)
         assert "{" not in out and "}" not in out
         assert "  " not in out and "\t" not in out
         assert out == out.strip()
