@@ -112,8 +112,18 @@ class TestPunctAndSpace:
 
 
 class TestCleanConfig:
-    def test_punctuation_holds_no_brace_or_whitespace(self):
-        assert not DEFAULT_PUNCTUATION & set("{}" + WHITESPACE_CHARS)
+    # The punctuation table is fixed: no setting can add a character to it.
+    def test_rejects_braces_in_punctuation(self):
+        with pytest.raises(TypeError):
+            CleanConfig(punctuation_set=frozenset("{.,"))
+        assert not DEFAULT_PUNCTUATION & set("{}")
+        assert strip_punctuation("{a}.}") == "{a}}"
+
+    def test_rejects_whitespace_in_punctuation(self):
+        with pytest.raises(TypeError):
+            CleanConfig(punctuation_set=frozenset(". "))
+        assert not DEFAULT_PUNCTUATION & set(WHITESPACE_CHARS)
+        assert strip_punctuation(WHITESPACE_CHARS + ".") == WHITESPACE_CHARS
 
     def test_rejects_reordered_stages(self):
         with pytest.raises(ValueError):
