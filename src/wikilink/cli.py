@@ -94,7 +94,7 @@ _SECTION_KEYS = {
 }
 
 
-def _read_config_file(path: str) -> PipelineConfig:
+def _read_config_file(path: str, train: baseline.TrainConfig) -> PipelineConfig:
     parser = configparser.ConfigParser()
     parser.read_dict({section: {} for section in _SECTION_KEYS})
     try:
@@ -114,7 +114,7 @@ def _read_config_file(path: str) -> PipelineConfig:
         clean=textclean.CleanConfig(stage_mask=tuple(
             s for s in textclean.STAGES if parser.getboolean("clean", s, fallback=True)
         )),
-        train=baseline.TrainConfig(**{
+        train=dataclasses.replace(train, **{
             key: baseline.TRAIN_FIELD_TYPES[key](parser.get("train", key))
             for key in parser.options("train")
         }),
@@ -122,10 +122,17 @@ def _read_config_file(path: str) -> PipelineConfig:
     )
 
 
-def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """Flags over the config file over defaults; a bad value is a ValidationError."""
+def build_config(args: argparse.Namespace,
+                 train: baseline.TrainConfig | None = None) -> PipelineConfig:
+    """Flags over the config file over defaults; a bad value is a ValidationError.
+
+    `train` is the base under the [train] keys and flags (default TrainConfig()).
+    """
+    if train is None:
+        train = baseline.TrainConfig()
     try:
-        cfg = _read_config_file(args.config) if getattr(args, "config", None) else PipelineConfig()
+        cfg = (_read_config_file(args.config, train) if getattr(args, "config", None)
+               else PipelineConfig(train=train))
         for key in _PATH_KEYS:
             value = getattr(args, key, None)
             if value is not None:
@@ -254,15 +261,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    """Score pairs cut at the token budget the model was trained under."""
-    cfg = build_config(args)
+    """Score pairs under the model's own training settings; a setting from
+    --max-tokens or the config's [train] section must equal the model's."""
     with open_input(args.model_file) as src:
         model = baseline.load_model(src)
-    trained = model.config.max_tokens
-    if args.max_tokens is not None and args.max_tokens != trained:
-        raise ValidationError(
-            f"--max-tokens {args.max_tokens} differs from the model's max_tokens {trained}")
-    cfg.train = model.config
+    cfg = build_config(args, train=model.config)
+    for key in baseline.TRAIN_FIELD_TYPES:
+        given, trained = getattr(cfg.train, key), getattr(model.config, key)
+        if given != trained:
+            raise ValidationError(
+                f"{key} {given} (flag or [train]) differs from the model's {key} {trained}")
     examples = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes),
                                labeled=args.labeled)
     _predict(model, examples, args.output)

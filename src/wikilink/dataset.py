@@ -2,7 +2,9 @@
 
 nodes.tsv: two tab-separated columns, id and text, no quoting layer.
 pairs csv: header `id,id1,id2,label` (labeled) or `id,id1,id2` (unlabeled),
-LF or CRLF line endings. Output written by this package is always LF.
+LF or CRLF line endings; pair ids are unique and hold no tab, since they
+head the tab-separated prepared.tsv lines. Output written by this package
+is always LF.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def write_nodes(records: Iterable[NodeRecord], stream: IO) -> int:
 
 
 def parse_pairs(stream: IO, labeled: bool) -> Iterator[PairRecord]:
-    """Yield PairRecords in file order after exact header validation."""
+    """Yield PairRecords in file order after exact header validation; a
+    repeated pair id or one holding a tab is fatal."""
     expected = LABELED_HEADER if labeled else UNLABELED_HEADER
     ncols = 4 if labeled else 3
     lines = _stripped_lines(stream)
@@ -110,12 +113,19 @@ def parse_pairs(stream: IO, labeled: bool) -> Iterator[PairRecord]:
         raise ParseError(f"empty file, expected header {expected!r}", 1) from None
     if header != expected:
         raise ParseError(f"expected header {expected!r}, got {header!r}", 1)
+    seen: set[str] = set()
     for line_no, line in enumerate(lines, start=2):
         if line == "":
             continue
         fields = line.split(",")
         if len(fields) != ncols:
             raise ParseError(f"expected {ncols} columns, got {len(fields)}", line_no)
+        pair_id = fields[0]
+        if "\t" in pair_id:
+            raise ValidationError(f"pair id {pair_id!r} at line {line_no} holds a tab")
+        if pair_id in seen:
+            raise ValidationError(f"duplicate pair id {pair_id!r} at line {line_no}")
+        seen.add(pair_id)
         id1 = _parse_node_id(fields[1], line_no)
         id2 = _parse_node_id(fields[2], line_no)
         label: int | None = None
@@ -125,7 +135,7 @@ def parse_pairs(stream: IO, labeled: bool) -> Iterator[PairRecord]:
                     f"line {line_no}: label must be 0 or 1, got {fields[3]!r}"
                 )
             label = int(fields[3])
-        yield PairRecord(fields[0], id1, id2, label)
+        yield PairRecord(pair_id, id1, id2, label)
 
 
 def write_pairs(records: Iterable[PairRecord], stream: IO, labeled: bool) -> int:

@@ -3,21 +3,25 @@
 Four deletion-only stages, applied in a fixed order:
 
     balance  - delete surplus braces so `{` and `}` counts match
-    debrace  - drop every brace span (stack simulation) and the braces
+    debrace  - drop every brace span (clamped nesting depth) and the braces
     depunct  - delete punctuation characters
     despace  - collapse whitespace runs to single spaces, strip ends
 
 All functions operate on Unicode code points, never bytes, and are pure.
+Only the six ASCII `WHITESPACE_CHARS` are collapsed, but the end strips
+of balance and despace are `str.strip()`, which also removes Unicode
+whitespace such as U+00A0 at the ends: "a \xa0" -> "a", "a\xa0b" kept.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+
+import numpy as np
 
 # Space, tab, CR, LF, form feed, vertical tab. Deliberately not Unicode-wide.
 WHITESPACE_CHARS = " \t\r\n\f\v"
-_WS_RUN = re.compile("[" + re.escape(WHITESPACE_CHARS) + "]+")
+_TO_SPACE = str.maketrans(dict.fromkeys(WHITESPACE_CHARS[1:], " "))
 
 # ASCII punctuation with `{` and `}` excluded: braces belong to the debrace
 # stage and must survive depunct when depunct runs alone.
@@ -75,19 +79,19 @@ def remove_brace_spans(text: str) -> str:
 
     `{` pushes; `}` pops when the stack top is `{`, otherwise it is
     silently dropped; other characters are kept only at depth zero.
-    Everything after an unmatched `{` is dropped.
+    Everything after an unmatched `{` is dropped. The clamped depth
+    D_i = max(0, D_{i-1} + s_i) (s = +1 at `{`, -1 at `}`) has the closed
+    form S - min(0, running min of S) with S = cumsum(s) (Lindley, 1952),
+    so the scan is a few array passes over the code points at any depth.
     """
-    depth = 0
-    out = []
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            if depth:
-                depth -= 1
-        elif depth == 0:
-            out.append(ch)
-    return "".join(out)
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    steps = (codes == ord("{")).view(np.int8) - (codes == ord("}")).view(np.int8)
+    total = np.cumsum(steps, dtype=np.int64)
+    depth = total - np.minimum(np.minimum.accumulate(total), 0)
+    # A non-brace character leaves the depth unchanged, so D_i is the
+    # depth before it.
+    keep = (depth == 0) & (steps == 0)
+    return codes[keep].tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def strip_punctuation(text: str) -> str:
@@ -95,7 +99,7 @@ def strip_punctuation(text: str) -> str:
 
 
 def normalize_whitespace(text: str) -> str:
-    return _WS_RUN.sub(" ", text).strip()
+    return " ".join(filter(None, text.translate(_TO_SPACE).split(" "))).strip()
 
 
 def clean(text: str, config: CleanConfig | None = None) -> tuple[str, CleanReport]:

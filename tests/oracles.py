@@ -6,8 +6,9 @@ pseudocode, the metric is recomputed from raw label lists, and the
 gradient oracle is central finite differences. The featurizer, dot
 product, loss, AdamW formulas and punctuation filter below are the
 scalar or out-of-place versions that the library's array code must
-match bit for bit; the tokenizer splits the whole text where the
-library stops after the token budget.
+match bit for bit; the whitespace collapse is a regex over maximal
+runs where the library splits on spaces; the tokenizer splits the whole
+text where the library stops after the token budget.
 """
 
 from __future__ import annotations
@@ -129,6 +130,11 @@ def reference_adamw_arrays(weights, m, v, gradient, t, config, bias_index):
 def reference_strip_punctuation(text: str) -> str:
     """Character-by-character punctuation deletion."""
     return "".join(ch for ch in text if ch not in DEFAULT_PUNCTUATION)
+
+
+def reference_normalize_whitespace(text: str) -> str:
+    """Each maximal run of WHITESPACE_CHARS becomes one space, then str.strip()."""
+    return re.sub("[" + re.escape(WHITESPACE_CHARS) + "]+", " ", text).strip()
 
 
 def reference_tokenize(text: str) -> list[str]:

@@ -102,6 +102,16 @@ class TestStats:
         assert payload["count_1"] == fixture_manifest["count_1"]
         assert f"{fixture_manifest['count_0']:,}" in out
 
+    def test_repeated_pair_id_exits_3(self, fixture_dir, tmp_path, capsys):
+        lines = (fixture_dir / "train.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "train.csv").write_text("".join(lines) + lines[1])
+        code = run_cli(["stats", "--pairs", str(tmp_path / "train.csv")])
+        captured = capsys.readouterr()
+        assert code == 3
+        pair_id = lines[1].split(",")[0]
+        assert f"duplicate pair id {pair_id!r} at line {len(lines) + 1}" in captured.err
+        assert "Traceback" not in captured.err and "stats " not in captured.out
+
     def test_missing_file_is_io_error(self, capsys):
         code = run_cli(["stats", "--pairs", "/nonexistent/train.csv"])
         assert code == 4
@@ -190,6 +200,34 @@ class TestPredictTokenBudget:
         assert self.predict(fixture_dir, model, tmp_path / "p.csv", "--max-tokens", "128") == 3
         assert "max_tokens 2" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+    # [train] section of predict's config -> key named in the error, or None to pass.
+    @pytest.mark.parametrize("section,named", [
+        ("max_tokens = 128", "max_tokens"),
+        ("epochs = 7", "epochs"),
+        ("max_tokens = 2\nlearning_rate = 0.5", "learning_rate"),
+        ("hash_bits = 10", "hash_bits"),
+        ("max_tokens = 2\nepochs = 3\nlearning_rate = 0.01", None),
+        ("", None),
+    ])
+    def test_config_train_values_must_equal_the_model(self, fixture_dir, model, tmp_path,
+                                                      capsys, section, named):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[train]\n{section}\n")
+        code = self.predict(fixture_dir, model, tmp_path / "p.csv", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if named is None:
+            assert code == 0
+            assert (tmp_path / "p.csv").read_bytes() == self.reference(fixture_dir, model, tmp_path)
+        else:
+            assert code == 3
+            assert f"differs from the model's {named}" in err
+            assert not (tmp_path / "p.csv").exists()
+
+    def reference(self, fixture_dir, model, tmp_path):
+        assert self.predict(fixture_dir, model, tmp_path / "ref.csv") == 0
+        return (tmp_path / "ref.csv").read_bytes()
 
 
 class TestTrainPredictEvalSubmit:

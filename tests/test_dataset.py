@@ -81,6 +81,19 @@ class TestParsePairs:
         with pytest.raises(ParseError, match="empty"):
             list(parse_pairs(io.StringIO(""), labeled=True))
 
+    def test_repeated_id_rejected(self):
+        text = "id,id1,id2,label\np0,1,2,1\np1,1,3,0\np0,2,3,0\n"
+        with pytest.raises(ValidationError, match="duplicate pair id 'p0' at line 4"):
+            list(parse_pairs(io.StringIO(text), labeled=True))
+
+    @pytest.mark.parametrize("text,labeled", [
+        ("id,id1,id2,label\np0,1,2,1\np\t1,1,3,0\n", True),
+        ("id,id1,id2\np0,1,2\np\t1,1,3\n", False),
+    ])
+    def test_tab_in_id_rejected(self, text, labeled):
+        with pytest.raises(ValidationError, match=r"pair id 'p\\t1' at line 3 holds a tab"):
+            list(parse_pairs(io.StringIO(text), labeled=labeled))
+
     def test_streaming_is_lazy(self):
         # consuming one record must not require reading the whole stream
         stream = io.StringIO("id,id1,id2,label\n" + "p,1,2,1\n" * 10000)

@@ -1,9 +1,13 @@
+import string
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wikilink.textclean import (
     DEFAULT_PUNCTUATION,
+    STAGES,
     WHITESPACE_CHARS,
     CleanConfig,
     balance_curly_braces,
@@ -13,12 +17,26 @@ from wikilink.textclean import (
     strip_punctuation,
 )
 
-from oracles import reference_balance, reference_remove_spans, reference_strip_punctuation
+from oracles import (
+    reference_balance,
+    reference_normalize_whitespace,
+    reference_remove_spans,
+    reference_strip_punctuation,
+)
 
 brace_text = st.text(alphabet="{}a ", max_size=20)
 messy_text = st.text(
     alphabet="{}abcXYZ .,!?;:\t\n\f\v'\"-éß日",
     max_size=60,
+)
+# Braces are drawn as often as all other characters together, so spans
+# nest. The rest: Unicode whitespace that is not collapsed (\x1c, \x85,
+# \xa0, U+2003), a combining mark, an astral code point, a lone surrogate.
+wide_text = st.text(
+    st.sampled_from("{}")
+    | st.sampled_from(list(string.ascii_letters + WHITESPACE_CHARS + ".,!'-"
+                           + "\x1c\x85\xa0\u2003é\u0301😀\ud800")),
+    max_size=200,
 )
 
 
@@ -36,7 +54,7 @@ class TestBalance:
     def test_examples(self, text, expected):
         assert balance_curly_braces(text) == expected
 
-    @given(brace_text)
+    @given(brace_text | wide_text)
     def test_matches_reference(self, text):
         assert balance_curly_braces(text) == reference_balance(text)
 
@@ -60,10 +78,24 @@ class TestRemoveSpans:
     def test_examples(self, text, expected):
         assert remove_brace_spans(text) == expected
 
-    @given(brace_text)
+    @given(brace_text | wide_text)
     def test_matches_reference(self, text):
         # The published accumulator starts as ' '; the library starts empty.
         assert " " + remove_brace_spans(text) == reference_remove_spans(text)
+
+    def test_deep_nesting_is_linear(self):
+        # Ten times the depth may cost about ten times the time; a scan
+        # that is O(n * depth) would cost a hundred times. Best of 3 each.
+        def best_time(depth):
+            text = "{" * depth + "x" + "}" * depth + "y"
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert remove_brace_spans(text) == "y"
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_time(200_000) < 30 * best_time(20_000)
 
     @given(brace_text)
     def test_subsequence_of_nonbrace_chars(self, text):
@@ -109,6 +141,26 @@ class TestPunctAndSpace:
     )
     def test_normalize_whitespace(self, text, expected):
         assert normalize_whitespace(text) == expected
+
+    @given(wide_text | messy_text)
+    def test_normalize_whitespace_matches_reference(self, text):
+        assert normalize_whitespace(text) == reference_normalize_whitespace(text)
+
+    # Only WHITESPACE_CHARS collapse, but the end strip is str.strip(),
+    # which also takes Unicode whitespace; balance strips the same way.
+    @pytest.mark.parametrize(
+        "text,despaced,balanced",
+        [
+            ("a \xa0", "a", "a"),
+            ("a\xa0b", "a\xa0b", "a\xa0b"),
+            ("\u2003 a\x85", "a", "a"),
+            ("a \xa0\t b", "a \xa0 b", "a \xa0\t b"),
+            ("\x1c\x1ca\x1c\x1cb", "a\x1c\x1cb", "a\x1c\x1cb"),
+        ],
+    )
+    def test_strip_takes_unicode_whitespace_at_the_ends(self, text, despaced, balanced):
+        assert normalize_whitespace(text) == despaced
+        assert balance_curly_braces(text) == balanced
 
 
 class TestCleanConfig:
@@ -179,6 +231,26 @@ class TestClean:
         assert "{" not in out and "}" not in out
         assert "  " not in out and "\t" not in out
         assert out == out.strip()
+
+    @given(wide_text | messy_text, st.sets(st.sampled_from(STAGES)))
+    def test_every_stage_mask_matches_oracles(self, text, stages):
+        mask = tuple(s for s in STAGES if s in stages)
+        expected, braces, debraced = text, 0, 0
+        if "balance" in mask:
+            braces = abs(text.count("{") - text.count("}"))
+            expected = reference_balance(expected)
+        if "debrace" in mask:
+            spanless = reference_remove_spans(expected)[1:]
+            debraced = len(expected) - len(spanless)
+            expected = spanless
+        if "depunct" in mask:
+            expected = reference_strip_punctuation(expected)
+        if "despace" in mask:
+            expected = reference_normalize_whitespace(expected)
+        out, rep = clean(text, CleanConfig(stage_mask=mask))
+        assert out == expected
+        assert (rep.input_length, rep.output_length) == (len(text), len(expected))
+        assert (rep.braces_removed_balance, rep.chars_removed_debrace) == (braces, debraced)
 
     def test_stage_mask_respected(self):
         cfg = CleanConfig(stage_mask=("depunct", "despace"))
