@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of the five `wikilink pipeline` artifacts over a fixed set of runs.
+
+    python3 scripts/artifact_digests.py > digests.txt
+
+The runs are the bundled fixture under several flag sets, then the
+seed-5 corpus of each benchmark workload (generated by bench/corpus.py)
+under that workload's flags. Each run is a `python -m wikilink.cli`
+child that imports the package from this checkout's `src/`, and writes
+under a temporary directory. One line per artifact, `<run> <artifact>
+<sha256>`, so two checkouts produce byte-identical artifacts exactly
+when `diff` of their outputs is empty.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "tests" / "fixtures" / "synthetic"
+sys.path.insert(0, str(ROOT / "bench"))
+import corpus  # noqa: E402
+
+ARTIFACTS = ("model.json", "predictions.csv", "submission.csv", "prepared.tsv", "nodes.clean.tsv")
+STAGES = ("balance", "debrace", "depunct", "despace")
+FIXTURE_FLAGS = {
+    "default": (),
+    "hash-bits-4": ("--hash-bits", "4"),
+    "hash-bits-10-max-tokens-2": ("--hash-bits", "10", "--max-tokens", "2"),
+    "no-decay-batch-7-epochs-2": ("--weight-decay", "0", "--batch-size", "7", "--epochs", "2"),
+    **{f"no-{stage}": (f"--no-{stage}",) for stage in STAGES},
+}
+BENCH_SEED = 5
+
+
+def pipeline(inputs: Path, out: Path, flags) -> dict[str, str]:
+    argv = [sys.executable, "-m", "wikilink.cli", "pipeline",
+            "--nodes", str(inputs / "nodes.tsv"), "--train-pairs", str(inputs / "train.csv"),
+            "--test-pairs", str(inputs / "test.csv"), "--output-dir", str(out), *flags]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        runs = [(f"fixture/{name}", FIXTURE, flags) for name, flags in FIXTURE_FLAGS.items()]
+        for workload, wl in corpus.WORKLOADS.items():
+            inputs = tmp / "inputs" / workload
+            corpus.write_inputs(corpus.generate(workload, BENCH_SEED, 1.0), inputs)
+            runs.append((f"{workload}/seed-{BENCH_SEED}", inputs, wl.flags))
+        for run, inputs, flags in runs:
+            for name, digest in pipeline(inputs, tmp / "out" / run, flags).items():
+                print(f"{run} {name} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -375,7 +375,14 @@ def adamw_step(model: BaselineModel, gradient: np.ndarray) -> BaselineModel:
 
 
 def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineModel:
-    """Mini-batch AdamW on logistic loss; deterministic for a fixed seed."""
+    """Mini-batch AdamW on logistic loss; deterministic for a fixed seed.
+
+    The loop runs over the slots that some row touches, renumbered in
+    sorted order; the rest get a zero gradient at every step, so AdamW
+    would leave their weight, m and v at 0.0. A bincount adds each
+    slot's terms in row order under any renumbering, so the model is the
+    dense loop's bit for bit (`tests/oracles.py` holds that loop).
+    """
     examples = list(examples)
     if not examples:
         raise ValidationError("cannot train on an empty example set")
@@ -386,6 +393,14 @@ def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineMode
     rows = featurize(examples, config.hash_bits)
     labels = [sp.label for sp in examples]
     model = BaselineModel.zeros(config)
+    touched = np.zeros(model.dim, dtype=bool)
+    touched[rows.indices] = True
+    slots = np.flatnonzero(touched)
+    rows = FeatureRows(rows.indptr, (np.cumsum(touched) - 1)[rows.indices], rows.values)
+    # The bias is the last slot and in every row, so it stays last and
+    # `compact.bias_index` is its position.
+    compact = BaselineModel(config, np.zeros(slots.shape[0]),
+                            np.zeros(slots.shape[0]), np.zeros(slots.shape[0]))
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
     for _ in range(config.epochs):
@@ -393,9 +408,13 @@ def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineMode
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad = logistic_loss_and_gradient(
-                model.weights, rows.take(batch), [labels[i] for i in batch])
-            model.loss_history.append(loss)
-            adamw_step(model, grad)
+                compact.weights, rows.take(batch), [labels[i] for i in batch])
+            compact.loss_history.append(loss)
+            adamw_step(compact, grad)
+    model.weights[slots] = compact.weights
+    model.m[slots] = compact.m
+    model.v[slots] = compact.v
+    model.step, model.loss_history = compact.step, compact.loss_history
     return model
 
 
@@ -415,14 +434,27 @@ MODEL_FORMAT = "wikilink-baseline-v1"
 
 
 def save_model(model: BaselineModel, stream: IO) -> None:
-    payload = {
+    """Write the model as one JSON line: `json.dumps` of the payload with
+    the weights as a list, built without a float object per weight.
+
+    Only the weights that are not +0.0 are spelled out, by
+    float.__repr__ as json does for finite floats; each run of +0.0
+    between them is a repeated "0.0,".
+    """
+    head = json.dumps({
         "format": MODEL_FORMAT,
         "config": asdict(model.config),
         "hash_bits": model.config.hash_bits,
-        "weights": model.weights.tolist(),
-    }
-    # dumps uses the C encoder; dump on a stream would use the pure-Python one.
-    stream.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    }, separators=(",", ":"))
+    weights = model.weights
+    spelled = np.flatnonzero((weights != 0) | np.signbit(weights))
+    # zeros[k]: the run of +0.0 before the k-th spelled weight; the last one ends the list.
+    zeros = np.diff(spelled, prepend=-1, append=weights.shape[0]) - 1
+    body = "".join([
+        "0.0," * run + text + ","
+        for run, text in zip(zeros.tolist(), map(float.__repr__, weights[spelled].tolist()))
+    ]) + "0.0," * int(zeros[-1])
+    stream.write(f'{head[:-1]},"weights":[{body[:-1]}]}}\n')
 
 
 def load_model(stream: IO) -> BaselineModel:

@@ -185,14 +185,16 @@ def _read_node_table(nodes_path: str) -> dict[int, dataset.NodeRecord]:
 def _sentence_pairs(cfg: PipelineConfig, pairs_path: str,
                     table: dict[int, dataset.NodeRecord],
                     labeled: bool) -> list[pairs_mod.SentencePair]:
-    """Join a pairs file against `table` and build each sentence pair once."""
+    """Join a pairs file against `table` and build each sentence pair once,
+    tokenizing each node once."""
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
             dataset.parse_pairs(src, labeled=labeled), table,
             strict=cfg.strict_join, counters=counters,
         )
-        built = [pairs_mod.build_pair(pair, n1.text, n2.text, cfg.train.max_tokens)
+        tokens: dict[int, tuple[str, ...]] = {}  # node id -> tokens, shared by its pairs
+        built = [pairs_mod.build_pair(pair, n1.text, n2.text, cfg.train.max_tokens, tokens)
                  for pair, n1, n2 in joined]
     log(f"pairs: {len(built)} from {pairs_path}" + (
         f" ({counters.skipped_joins} skipped)" if counters.skipped_joins else ""))

@@ -57,7 +57,7 @@ def _stripped_lines(stream: IO) -> Iterator[str]:
 
 
 def _parse_node_id(token: str, line_no: int) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):  # str.isdigit alone takes "²" and "١٢"
         raise ParseError(f"node id must be a non-negative integer, got {token!r}", line_no)
     value = int(token)
     if value > MAX_NODE_ID:

@@ -35,11 +35,23 @@ def build_pair(
     premise_text: str,
     hypothesis_text: str,
     max_tokens: int,
+    tokens: dict[int, tuple[str, ...]] | None = None,
 ) -> SentencePair:
+    """The sentence pair of `pair`, whose node texts are given.
+
+    `tokens` maps a node id to its token tuple under this max_tokens. A
+    caller that passes one dict for all the pairs of a file tokenizes each
+    node once, and pairs that share a node share its tuple.
+    """
+    if tokens is None:
+        tokens = {}
+    for node_id, text in ((pair.id1, premise_text), (pair.id2, hypothesis_text)):
+        if node_id not in tokens:
+            tokens[node_id] = tokenize(text, max_tokens)
     return SentencePair(
         pair_id=pair.pair_id,
-        premise_tokens=tokenize(premise_text, max_tokens),
-        hypothesis_tokens=tokenize(hypothesis_text, max_tokens),
+        premise_tokens=tokens[pair.id1],
+        hypothesis_tokens=tokens[pair.id2],
         label=pair.label,
     )
 

@@ -3,7 +3,10 @@
 These stay deliberately naive and separate from the library code: the
 brace routines are line-by-line transcriptions of the published
 pseudocode, the metric is recomputed from raw label lists, and the
-gradient oracle is central finite differences. The featurizer, dot
+gradient oracle is central finite differences. The training loop runs
+over every weight slot where the library runs over the touched ones,
+and the model writer formats every weight where the library spells out
+only the nonzero ones. The featurizer, dot
 product, loss, AdamW formulas and punctuation filter below are the
 scalar or out-of-place versions that the library's array code must
 match bit for bit; the whitespace collapse is a regex over maximal
@@ -13,12 +16,24 @@ text where the library stops after the token budget.
 
 from __future__ import annotations
 
+import json
 import math
+import random
 import re
+from dataclasses import asdict
 
 import numpy as np
 
-from wikilink.baseline import FeatureRows, fnv1a_64, sigmoid
+from wikilink.baseline import (
+    MODEL_FORMAT,
+    BaselineModel,
+    FeatureRows,
+    adamw_step,
+    featurize,
+    fnv1a_64,
+    logistic_loss_and_gradient,
+    sigmoid,
+)
 from wikilink.pairs import SentencePair
 from wikilink.textclean import DEFAULT_PUNCTUATION, WHITESPACE_CHARS
 
@@ -216,3 +231,32 @@ def dense_gradient(gradient: dict[int, float], dim: int) -> np.ndarray:
     for i, g in gradient.items():
         dense[i] = g
     return dense
+
+
+def reference_train(examples: list[SentencePair], config) -> BaselineModel:
+    """Mini-batch AdamW over the whole 2^hash_bits + 4 weight vector."""
+    rows = featurize(examples, config.hash_bits)
+    labels = [sp.label for sp in examples]
+    model = BaselineModel.zeros(config)
+    rng = random.Random(config.seed)
+    order = list(range(len(examples)))
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grad = logistic_loss_and_gradient(
+                model.weights, rows.take(batch), [labels[i] for i in batch])
+            model.loss_history.append(loss)
+            adamw_step(model, grad)
+    return model
+
+
+def reference_save_model(model: BaselineModel) -> str:
+    """The model file text: json.dumps of the payload with every weight a float."""
+    payload = {
+        "format": MODEL_FORMAT,
+        "config": asdict(model.config),
+        "hash_bits": model.config.hash_bits,
+        "weights": model.weights.tolist(),
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"

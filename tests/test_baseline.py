@@ -33,6 +33,8 @@ from oracles import (
     reference_dot,
     reference_featurize,
     reference_loss_and_gradient,
+    reference_save_model,
+    reference_train,
     row_items,
     rows_from_dicts,
     scalar_adamw_trace,
@@ -292,6 +294,57 @@ class TestTrain:
             train([pair(["a"], ["b"], label=None)], TrainConfig())
 
 
+def assert_same_model(got, want):
+    for name in ("weights", "m", "v"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.step == want.step
+    assert np.array(got.loss_history).tobytes() == np.array(want.loss_history).tobytes()
+
+
+class TestTrainMatchesDenseOracle:
+    """`train` steps over the touched slots only; the oracle steps over all of them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        distinct=st.lists(st.tuples(side, side, st.integers(0, 1)), min_size=1, max_size=6),
+        n=st.integers(1, 24),
+        hash_bits=st.integers(1, 18),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+        batch_size=st.integers(1, 10),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_for_bit(self, distinct, n, hash_bits, weight_decay, batch_size, epochs, seed):
+        examples = [pair(*distinct[i % len(distinct)], pair_id=f"p{i}") for i in range(n)]
+        cfg = TrainConfig(hash_bits=hash_bits, weight_decay=weight_decay,
+                          batch_size=batch_size, epochs=epochs, seed=seed)
+        assert_same_model(train(examples, cfg), reference_train(examples, cfg))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_every_slot_touched(self, weight_decay):
+        tokens = [f"t{i}" for i in range(12)]
+        examples = [pair(tokens[i:], tokens[:i], label=i % 2, pair_id=f"p{i}") for i in range(12)]
+        cfg = TrainConfig(hash_bits=2, weight_decay=weight_decay, batch_size=5, epochs=2)
+        dim = (1 << cfg.hash_bits) + DENSE_BLOCK_SIZE
+        assert np.unique(featurize(examples, cfg.hash_bits).indices).size == dim
+        assert_same_model(train(examples, cfg), reference_train(examples, cfg))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_only_dense_block_touched(self, weight_decay):
+        examples = [pair([], [], label=i % 2, pair_id=f"p{i}") for i in range(7)]
+        cfg = TrainConfig(hash_bits=8, weight_decay=weight_decay, batch_size=3, epochs=3)
+        touched = np.unique(featurize(examples, cfg.hash_bits).indices)
+        assert touched.tolist() == [(1 << 8) + k for k in range(DENSE_BLOCK_SIZE)]
+        model = train(examples, cfg)
+        assert_same_model(model, reference_train(examples, cfg))
+        assert not model.weights[: 1 << 8].any()
+
+    def test_fixture(self, fixture_sentence_pairs):
+        cfg = TrainConfig()
+        assert_same_model(train(fixture_sentence_pairs, cfg),
+                          reference_train(fixture_sentence_pairs, cfg))
+
+
 class TestPredict:
     def test_zero_model_is_half_and_positive(self):
         model = BaselineModel.zeros(TrainConfig())
@@ -346,3 +399,51 @@ class TestSerialization:
             save_model(train(fixture_sentence_pairs[:30], cfg), buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+
+special_weight = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+model_weight = st.just(0.0) | special_weight | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def model_with(weights, hash_bits):
+    weights = np.asarray(weights, dtype=float)
+    return BaselineModel(TrainConfig(hash_bits=hash_bits), weights,
+                         np.zeros_like(weights), np.zeros_like(weights))
+
+
+def saved(model):
+    buf = io.StringIO()
+    save_model(model, buf)
+    return buf.getvalue()
+
+
+def assert_round_trip(model, text):
+    loaded = load_model(io.StringIO(text))
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert loaded.config == model.config
+
+
+class TestSaveMatchesJsonOracle:
+    """`save_model` spells out only the weights that are not +0.0; the
+    oracle is json.dumps over every weight."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hash_bits=st.integers(1, 6), data=st.data())
+    def test_bytes_equal_oracle(self, hash_bits, data):
+        dim = (1 << hash_bits) + DENSE_BLOCK_SIZE
+        model = model_with(data.draw(st.lists(model_weight, min_size=dim, max_size=dim)), hash_bits)
+        text = saved(model)
+        assert text == reference_save_model(model)
+        assert_round_trip(model, text)
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, -1e308])
+    @pytest.mark.parametrize("hash_bits", [1, 18])
+    def test_uniform_vectors(self, fill, hash_bits):
+        model = model_with(np.full((1 << hash_bits) + DENSE_BLOCK_SIZE, fill), hash_bits)
+        text = saved(model)
+        assert text == reference_save_model(model)
+        assert_round_trip(model, text)
+
+    def test_trained_model(self, fixture_sentence_pairs):
+        model = train(fixture_sentence_pairs, TrainConfig())
+        assert saved(model) == reference_save_model(model)

@@ -325,6 +325,50 @@ class TestPipeline:
         for name in ARTIFACTS:
             assert (tmp_path / "seed1" / name).read_bytes() == (tmp_path / "seed2" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("shared", [False, True], ids=["fixture", "shared-nodes"])
+    def test_each_node_tokenized_once_per_pairs_file(self, fixture_dir, tmp_path, monkeypatch,
+                                                     shared):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "nodes.tsv").write_bytes((fixture_dir / "nodes.tsv").read_bytes())
+        records = {}
+        for name in ("train.csv", "test.csv"):
+            header, *rows = (fixture_dir / name).read_text().splitlines()
+            if shared:  # each pair again with its sides swapped: every node is in two pairs
+                for pair_id, id1, id2, *label in [row.split(",") for row in rows]:
+                    rows.append(",".join([f"r{pair_id}", id2, id1, *label]))
+            (inputs / name).write_text("\n".join([header, *rows]) + "\n")
+            with open(inputs / name) as f:
+                records[name] = list(dataset.parse_pairs(f, labeled=name == "train.csv"))
+        calls, built = [], []
+        tokenize, build_pair = pairs.tokenize, pairs.build_pair
+
+        def counting_tokenize(*args, **kwargs):
+            calls.append(args)
+            return tokenize(*args, **kwargs)
+
+        def recording_build_pair(record, *args, **kwargs):
+            sp = build_pair(record, *args, **kwargs)
+            built.append((record, sp))
+            return sp
+
+        monkeypatch.setattr(pairs, "tokenize", counting_tokenize)
+        monkeypatch.setattr(pairs, "build_pair", recording_build_pair)
+        assert self.run_pipeline(inputs, tmp_path / "out") == 0
+        distinct = {name: {i for r in recs for i in (r.id1, r.id2)} for name, recs in records.items()}
+        assert len(calls) == len(distinct["train.csv"]) + len(distinct["test.csv"])
+        n_train = len(records["train.csv"])
+        assert len(built) == n_train + len(records["test.csv"])
+        reused = 0
+        for file_pairs in (built[:n_train], built[n_train:]):
+            tokens_of = {}
+            for record, sp in file_pairs:
+                for node_id, tokens in ((record.id1, sp.premise_tokens),
+                                        (record.id2, sp.hypothesis_tokens)):
+                    reused += node_id in tokens_of
+                    assert tokens_of.setdefault(node_id, tokens) is tokens
+        assert reused == (800 if shared else 0)
+
 
 class TestConfigFile:
     def test_config_file_and_flag_precedence(self, fixture_dir, tmp_path):
@@ -381,6 +425,29 @@ BAD_SETTINGS = {
     "no section header": ("epochs = 1\n", [], None, 2, "section header"),
     "nodes not utf-8": ("", [], b"1\tcaf\xe9\n", 2, "utf-8"),
 }
+
+
+# A node id whose digits str.isdigit takes but that are not ASCII: "²"
+# made int() raise, "١٢" was read as node 12.
+@pytest.mark.parametrize("token, ascii_id", [("\u00b2", "2"), ("\u0661\u0662", "12")])
+@pytest.mark.parametrize("name", ["nodes.tsv", "train.csv"])
+def test_non_ascii_digit_node_id_exits_2(name, token, ascii_id, fixture_dir, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for file in ("nodes.tsv", "train.csv", "test.csv"):
+        (inputs / file).write_bytes((fixture_dir / file).read_bytes())
+    lines = (inputs / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    if name == "nodes.tsv":
+        at = next(i for i, line in enumerate(lines) if line.startswith(ascii_id + "\t"))
+        lines[at] = token + lines[at][len(ascii_id):]
+    else:
+        fields = lines[1].split(",")
+        fields[1] = token
+        lines[1] = ",".join(fields)
+    (inputs / name).write_text("".join(lines), encoding="utf-8")
+    assert main(pipeline_argv(inputs, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "error [" in err and repr(token) in err
 
 
 @pytest.mark.parametrize("case", BAD_SETTINGS)

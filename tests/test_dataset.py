@@ -37,6 +37,11 @@ class TestParseNodes:
         with pytest.raises(ParseError):
             list(parse_nodes(io.StringIO("-3\ty\n")))
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0661\u0662", "\uff11"])  # ², ١٢, １
+    def test_non_ascii_digit_id_rejected(self, token):
+        with pytest.raises(ParseError, match="line 1"):
+            list(parse_nodes(io.StringIO(f"{token}\ty\n")))
+
     def test_missing_text_counts_warning(self):
         counters = ParseCounters()
         recs = list(parse_nodes(io.StringIO("5\n"), counters))
@@ -72,6 +77,15 @@ class TestParsePairs:
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="line 2"):
             list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2\n"), labeled=True))
+
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0661\u0662", "\uff11"])  # ², ١٢, １
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_non_ascii_digit_node_id_rejected(self, token, column):
+        fields = ["p0", "1", "2", "1"]
+        fields[column] = token
+        with pytest.raises(ParseError, match="line 2"):
+            list(parse_pairs(io.StringIO("id,id1,id2,label\n" + ",".join(fields) + "\n"),
+                             labeled=True))
 
     def test_crlf_accepted(self):
         recs = list(parse_pairs(io.StringIO("id,id1,id2,label\r\np0,1,2,0\r\n"), labeled=True))
