@@ -3,11 +3,13 @@
 
     python3 scripts/artifact_digests.py > digests.txt
 
-The runs are the bundled fixture under several flag sets, then the
-seed-5 corpus of each benchmark workload (generated by bench/corpus.py)
-under that workload's flags. Each run is a `python -m wikilink.cli`
-child that imports the package from this checkout's `src/`, and writes
-under a temporary directory. One line per artifact, `<run> <artifact>
+The runs are the bundled fixture under several flag sets, the fixture
+with its nodes reused (each pair again with its sides swapped, and one
+self-pair per file) under default flags, then the seed-5 corpus of each
+benchmark workload (generated by bench/corpus.py) under that workload's
+flags. Each run is a `python -m wikilink.cli` child that imports the
+package from this checkout's `src/`, and writes under a temporary
+directory. One line per artifact, `<run> <artifact>
 <sha256>`, so two checkouts produce byte-identical artifacts exactly
 when `diff` of their outputs is empty.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,10 +52,28 @@ def pipeline(inputs: Path, out: Path, flags) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
 
 
+def node_reuse_inputs(out: Path) -> Path:
+    """The fixture with each pair repeated, sides swapped, and one self-pair
+    (id1 == id2) added to each pairs file."""
+    out.mkdir(parents=True)
+    shutil.copyfile(FIXTURE / "nodes.tsv", out / "nodes.tsv")
+    for name in ("train.csv", "test.csv"):
+        header, *rows = (FIXTURE / name).read_text().splitlines()
+        fields = [row.split(",") for row in rows]
+        swapped = [",".join([f"r{pair_id}", id2, id1, *label])
+                   for pair_id, id1, id2, *label in fields]
+        _, id1, _, *label = fields[0]
+        self_pair = ",".join(["self", id1, id1, *label])
+        (out / name).write_text("\n".join([header, *rows, *swapped, self_pair]) + "\n")
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         runs = [(f"fixture/{name}", FIXTURE, flags) for name, flags in FIXTURE_FLAGS.items()]
+        runs.append(("fixture-node-reuse/default",
+                     node_reuse_inputs(tmp / "inputs" / "fixture-node-reuse"), ()))
         for workload, wl in corpus.WORKLOADS.items():
             inputs = tmp / "inputs" / workload
             corpus.write_inputs(corpus.generate(workload, BENCH_SEED, 1.0), inputs)

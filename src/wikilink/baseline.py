@@ -6,7 +6,10 @@ block: overlap count, Jaccard similarity, normalized length difference,
 bias. Hashing is 64-bit FNV-1a over UTF-8 bytes, masked to hash_bits, so
 feature indices are stable across runs and platforms.
 
-Pairs are featurized into batches of CSR rows (`FeatureRows`). A row
+Pairs are featurized into batches of CSR rows (`FeatureRows`). Each
+featurize or predict call hashes every distinct token tuple (node) of
+its pairs once, into a node table; a pair then costs only the gather of
+its two nodes' slot streams, its shared tokens and the row dedup. A row
 lists its slots in first-seen order over premise unigrams, premise
 bigrams, hypothesis unigrams, hypothesis bigrams and the sorted shared
 tokens, each slot once with its count, then the dense block. Dot
@@ -21,6 +24,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
+from itertools import chain, count
 from typing import IO, Iterable, Sequence, get_type_hints
 
 import numpy as np
@@ -29,9 +33,11 @@ from .errors import NumericError, ParseError, ValidationError
 from .pairs import SentencePair
 
 DENSE_BLOCK_SIZE = 4  # overlap, jaccard, length diff, bias
-# Pairs hashed together. Larger chunks repeat less hashing across chunks
-# but hold larger temporary arrays; 64 kept peak RSS at the old level.
+# Pairs whose rows are laid out together. Hashing is per node, once per
+# call, so a chunk bounds only the row-layout temporaries.
 FEATURIZE_CHUNK = 64
+# Hash keys folded together, which bounds the fold's uint64 temporaries.
+_FOLD_BLOCK = 1 << 14
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -148,7 +154,7 @@ class FeatureRows:
         lengths = self.indptr[rows + 1] - starts
         indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        picks = _ranges(starts, lengths)
         return FeatureRows(indptr, self.indices[picks], self.values[picks])
 
     @staticmethod
@@ -183,79 +189,166 @@ def _fnv_fold(states: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     return out
 
 
-def _featurize_chunk(pairs: Sequence[SentencePair], hash_bits: int) -> FeatureRows:
-    """Hash each distinct token and bigram of the chunk once, then lay out the rows."""
-    # Three token sides per pair: premise, hypothesis, sorted shared tokens.
-    sides: list[Sequence[str]] = []
-    dense = np.empty((len(pairs), DENSE_BLOCK_SIZE))
-    for r, sp in enumerate(pairs):
-        premise, hypothesis = sp.premise_tokens, sp.hypothesis_tokens
-        pset, hset = set(premise), set(hypothesis)
-        shared = pset & hset
-        # Sorted, so the feature order, and with it the float sums, does
-        # not depend on the interpreter's string hash seed.
-        sides += (premise, hypothesis, sorted(shared))
-        union = len(pset | hset)
-        lp, lh = len(premise), len(hypothesis)
-        dense[r] = (
-            sum(map(hset.__contains__, premise)),            # overlap count
-            len(shared) / union if union else 0.0,           # jaccard
-            abs(lp - lh) / max(lp, lh) if max(lp, lh) else 0.0,  # length diff
-            1.0,                                             # bias
-        )
+class _NodeTable:
+    """The distinct token tuples (nodes) of a pair list, each hashed once.
 
-    flat = [tok for side in sides for tok in side]
-    vocab = {tok: i for i, tok in enumerate(dict.fromkeys(flat))}
-    radix = max(len(vocab), 1)
-    ids = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
-    encoded = [tok.encode("utf-8") for tok in vocab]
-    byte_lens = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    Pairs that share a node share its tuple, and equal tuples are one
+    node. Per node the table keeps its masked P and H streams, laid out
+    alike as its unigram slots then its bigram slots, and its distinct
+    token ids, ascending, with their counts. Slots and ids are int32
+    (hash_bits <= 30). `rows` lays out the rows of a run of pairs from
+    these alone.
+    """
+
+    def __init__(self, pairs: Sequence[SentencePair], hash_bits: int):
+        self.hash_bits = hash_bits
+        index: dict[tuple[str, ...], int] = {}
+        self.pair_nodes = np.fromiter(
+            (index.setdefault(side, len(index))
+             for sp in pairs for side in (sp.premise_tokens, sp.hypothesis_tokens)),
+            dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+        nodes = list(index)
+        del index
+        self.lens = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+        n_positions = int(self.lens.sum())
+        # One pass: each position gets the position where its token was
+        # first seen; numbering those positions in order gives the ids.
+        vocab: dict[str, int] = {}
+        seen_at = np.fromiter(map(vocab.setdefault, chain.from_iterable(nodes), count()),
+                              dtype=np.int64, count=n_positions)
+        self.tokens = list(vocab)  # token id -> token
+        self.radix = max(len(vocab), 1)
+        del vocab, nodes
+        is_first = seen_at == np.arange(n_positions)
+        ids = (np.cumsum(is_first, dtype=np.int32) - 1)[seen_at]
+        del seen_at, is_first
+        starts = np.cumsum(self.lens) - self.lens
+        # A position heads a bigram unless it is the last of its node.
+        is_head = np.ones(ids.shape[0], dtype=bool)
+        is_head[(starts + self.lens - 1)[self.lens > 0]] = False
+        bigrams, which = np.unique(
+            (ids[:-1].astype(np.int64) * self.radix + ids[1:])[is_head[:-1]],
+            return_inverse=True)
+        unigram, bigram = _hash_keys(self.tokens, bigrams, self.radix, hash_bits)
+        del bigrams
+        self.shared_slots = unigram[2]
+
+        self.stream_lens = 2 * self.lens - (self.lens > 0)
+        self.stream_starts = np.cumsum(self.stream_lens) - self.stream_lens
+        self.streams = np.empty((2, int(self.stream_lens.sum())), dtype=np.int32)
+        at = np.repeat(self.stream_starts - starts, self.lens) + np.arange(ids.shape[0])
+        self.streams[:, at] = unigram[:2, ids]
+        at += np.repeat(self.lens, self.lens)  # the bigram each position heads
+        self.streams[:, at[is_head]] = bigram[:, which]
+        del at, is_head, which, unigram, bigram
+
+        keys, counts = np.unique(np.repeat(np.arange(self.lens.shape[0]), self.lens) * self.radix
+                                 + ids, return_counts=True)
+        self.set_ids = (keys % self.radix).astype(np.int32)
+        self.set_counts = counts.astype(np.int32)
+        self.set_lens = np.bincount(keys // self.radix, minlength=self.lens.shape[0])
+        self.set_starts = np.cumsum(self.set_lens) - self.set_lens
+
+    def rows(self, lo: int, hi: int) -> FeatureRows:
+        """The rows of pairs lo..hi-1: the premise node's P stream, the
+        hypothesis node's H stream, the sorted shared tokens, deduplicated."""
+        premise, hypothesis = self.pair_nodes[lo:hi].T
+        n = premise.shape[0]
+        p_rows, p_pick = self._set_entries(premise)
+        h_rows, h_pick = self._set_entries(hypothesis)
+        # A (row, token id) key is unique on each side; the shared tokens
+        # are the premise entries whose key the hypothesis side also has.
+        is_shared = np.isin(p_rows * self.radix + self.set_ids[p_pick],
+                            h_rows * self.radix + self.set_ids[h_pick], assume_unique=True)
+        shared_rows, pick = p_rows[is_shared], p_pick[is_shared]
+        shared = self.set_ids[pick]
+        # Python string order, so the feature order, and with it the float
+        # sums, does not depend on the interpreter's string hash seed. Only
+        # the distinct shared tokens are ranked.
+        distinct, inverse = np.unique(shared, return_inverse=True)
+        words = [self.tokens[i] for i in distinct.tolist()]
+        rank = np.empty(len(words), dtype=np.int64)
+        rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+        by_row = np.argsort(shared_rows * len(words) + rank[inverse])
+        shared_slots = self.shared_slots[shared[by_row]]
+
+        n_shared = np.bincount(shared_rows, minlength=n)
+        union = self.set_lens[premise] + self.set_lens[hypothesis] - n_shared
+        lp, lh = self.lens[premise], self.lens[hypothesis]
+        longer = np.maximum(lp, lh)
+        dense = np.zeros((n, DENSE_BLOCK_SIZE))
+        # overlap, jaccard, length diff, bias
+        dense[:, 0] = np.bincount(shared_rows, weights=self.set_counts[pick], minlength=n)
+        np.divide(n_shared, union, out=dense[:, 1], where=union > 0)
+        np.divide(np.abs(lp - lh), longer, out=dense[:, 2], where=longer > 0)
+        dense[:, 3] = 1.0
+
+        p_lens, h_lens = self.stream_lens[premise], self.stream_lens[hypothesis]
+        row_lens = p_lens + h_lens + n_shared
+        row_starts = np.cumsum(row_lens) - row_lens
+        stream = np.empty(int(row_lens.sum()), dtype=np.int32)
+        stream[_ranges(row_starts, p_lens)] = self.streams[
+            0, _ranges(self.stream_starts[premise], p_lens)]
+        stream[_ranges(row_starts + p_lens, h_lens)] = self.streams[
+            1, _ranges(self.stream_starts[hypothesis], h_lens)]
+        stream[_ranges(row_starts + p_lens + h_lens, n_shared)] = shared_slots
+        return _dedup_rows(stream, np.repeat(np.arange(n), row_lens), dense, self.hash_bits)
+
+    def _set_entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the token sets of `nodes`, concatenated: each entry's row
+        (its place in `nodes`) and its index into set_ids and set_counts."""
+        return (np.repeat(np.arange(nodes.shape[0]), self.set_lens[nodes]),
+                _ranges(self.set_starts[nodes], self.set_lens[nodes]))
+
+
+def _hash_keys(tokens: list[str], bigrams: np.ndarray, radix: int,
+               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masked int32 slots of each token under the P, H and S namespaces,
+    [3, len(tokens)], and of each bigram (first id * radix + second id)
+    under P and H, [2, len(bigrams)]."""
+    byte_lens = np.fromiter(map(len, map(str.encode, tokens)), dtype=np.int64, count=len(tokens))
     byte_starts = np.cumsum(byte_lens) - byte_lens
-    buf = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-
+    buf = np.frombuffer("".join(tokens).encode(), dtype=np.uint8)  # UTF-8
     # FNV is a left fold, so "P\x1ftok" continues from the state after "P\x1f".
     prefixes = np.array([fnv1a_64(f"{ns}\x1f".encode()) for ns in _NAMESPACES], dtype=np.uint64)
-    unigram = _fnv_fold(np.repeat(prefixes[:, None], len(vocab), axis=1),
-                        byte_starts, byte_lens, buf)  # [namespace, token], unmasked
-
-    side_lens = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
-    pos_side = np.repeat(np.arange(len(sides)), side_lens)
-    pos_ns = pos_side % len(_NAMESPACES)
-
-    # Bigrams join adjacent tokens of a premise or hypothesis side. The
-    # key continues from its first token's unmasked state, over the
-    # separator byte and then the second token's bytes.
-    is_bigram = (pos_side[:-1] == pos_side[1:]) & (pos_ns[:-1] < 2)
-    head = (pos_ns[:-1] * radix + ids[:-1])[is_bigram]  # namespace and first token
-    second = ids[1:][is_bigram]
-    distinct, which = np.unique(head * radix + second, return_inverse=True)
-    d_head, d_second = np.divmod(distinct, radix)
-    states = (unigram.reshape(-1)[d_head] ^ np.uint64(_BIGRAM_SEP)) * _FNV_PRIME_U64
-    bigram = _fnv_fold(states, byte_starts[d_second], byte_lens[d_second], buf)
-
+    unigram = np.empty((len(_NAMESPACES), len(tokens)), dtype=np.uint64)  # unmasked
+    for lo in range(0, len(tokens), _FOLD_BLOCK):
+        block = slice(lo, lo + _FOLD_BLOCK)
+        unigram[:, block] = _fnv_fold(
+            np.repeat(prefixes[:, None], byte_lens[block].shape[0], axis=1),
+            byte_starts[block], byte_lens[block], buf)
     mask = np.uint64((1 << hash_bits) - 1)
-    # The stream holds, side by side, each side's unigrams then its
-    # bigrams; a pair's row is its three sides.
-    bigram_side = pos_side[:-1][is_bigram]
-    side_bigrams = np.bincount(bigram_side, minlength=len(sides))
-    n_uni, n_bi = ids.shape[0], bigram_side.shape[0]
-    stream = np.empty(n_uni + n_bi, dtype=np.int64)
-    stream[np.arange(n_uni) + (np.cumsum(side_bigrams) - side_bigrams)[pos_side]] = (
-        unigram[pos_ns, ids] & mask)
-    stream[np.cumsum(side_lens)[bigram_side] + np.arange(n_bi)] = (bigram & mask)[which]
-    row_lens = (side_lens + side_bigrams).reshape(-1, len(_NAMESPACES)).sum(axis=1)
-    stream_rows = np.repeat(np.arange(len(pairs)), row_lens)
-    return _dedup_rows(stream, stream_rows, dense, hash_bits)
+    bigram = np.empty((2, bigrams.shape[0]), dtype=np.int32)
+    # A bigram key continues from its first token's unmasked state, over
+    # the separator byte and then the second token's bytes.
+    for lo in range(0, bigrams.shape[0], _FOLD_BLOCK):
+        first, second = np.divmod(bigrams[lo : lo + _FOLD_BLOCK], radix)
+        states = (unigram[:2, first] ^ np.uint64(_BIGRAM_SEP)) * _FNV_PRIME_U64
+        bigram[:, lo : lo + _FOLD_BLOCK] = (
+            _fnv_fold(states, byte_starts[second], byte_lens[second], buf) & mask)
+    return (unigram & mask).astype(np.int32), bigram
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + lengths[i] - 1 for each i, concatenated."""
+    ends = np.cumsum(lengths)
+    total = ends[-1] if ends.shape[0] else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
 
 def _dedup_rows(stream: np.ndarray, stream_rows: np.ndarray, dense: np.ndarray,
                 hash_bits: int) -> FeatureRows:
     """Count repeated slots within each row in first-seen order, then append the dense block."""
     n = dense.shape[0]
-    keys, first, counts = np.unique((stream_rows << hash_bits) | stream,
-                                    return_index=True, return_counts=True)
-    order = np.argsort(first)
-    keys, counts = keys[order], counts[order]
+    keys = (stream_rows << hash_bits) | stream
+    # Sorting groups each (row, slot); a group's least position is where
+    # it is first seen, and those positions, ascending, are the row order.
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    count_at = np.zeros(keys.shape[0], dtype=np.int64)
+    count_at[np.minimum.reduceat(order, starts)] = np.diff(starts, append=keys.shape[0])
+    first = np.flatnonzero(count_at)
+    keys, counts = keys[first], count_at[first]
     rows = keys >> hash_bits
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n) + DENSE_BLOCK_SIZE, out=indptr[1:])
@@ -271,11 +364,13 @@ def _dedup_rows(stream: np.ndarray, stream_rows: np.ndarray, dense: np.ndarray,
 
 
 def featurize(pairs: Sequence[SentencePair], hash_bits: int) -> FeatureRows:
-    """One CSR row per pair, hashed FEATURIZE_CHUNK pairs at a time."""
+    """One CSR row per pair: each node hashed once, and the rows laid out
+    FEATURIZE_CHUNK pairs at a time."""
     if not pairs:
         return FeatureRows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    table = _NodeTable(pairs, hash_bits)
     return FeatureRows.concat([
-        _featurize_chunk(pairs[start : start + FEATURIZE_CHUNK], hash_bits)
+        table.rows(start, start + FEATURIZE_CHUNK)
         for start in range(0, len(pairs), FEATURIZE_CHUNK)
     ])
 
@@ -419,12 +514,14 @@ def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineMode
 
 
 def predict(model: BaselineModel, pairs: Sequence[SentencePair]) -> list[Prediction]:
-    """Score the pairs in order, featurizing one chunk at a time."""
+    """Score the pairs in order, one chunk of rows at a time from one node table."""
     threshold = model.config.decision_threshold
+    table = _NodeTable(pairs, model.config.hash_bits)
     predictions = []
     for start in range(0, len(pairs), FEATURIZE_CHUNK):
         chunk = pairs[start : start + FEATURIZE_CHUNK]
-        for sp, z in zip(chunk, row_dots(model.weights, featurize(chunk, model.config.hash_bits))):
+        rows = table.rows(start, start + FEATURIZE_CHUNK)
+        for sp, z in zip(chunk, row_dots(model.weights, rows)):
             p = sigmoid(z)
             predictions.append(Prediction(sp.pair_id, p, 1 if p >= threshold else 0))
     return predictions

@@ -158,8 +158,10 @@ def build_config(args: argparse.Namespace,
 
 def _clean_nodes(cfg: PipelineConfig, in_path: str | None, out_path: str | None,
                  want_report: bool) -> dict[int, dataset.NodeRecord]:
-    """Clean every node, write the cleaned table and return it."""
+    """Clean every node, write the cleaned table and return it. The report
+    line adds `missing_text`: node lines with no tab, kept with empty text."""
     aggregate = textclean.CleanReport()
+    counters = dataset.ParseCounters()
 
     def cleaned(records):
         for rec in records:
@@ -168,12 +170,13 @@ def _clean_nodes(cfg: PipelineConfig, in_path: str | None, out_path: str | None,
             yield dataset.NodeRecord(rec.id, text)
 
     with open_input(in_path) as src:
-        table = dataset.build_node_table(cleaned(dataset.parse_nodes(src)))
+        table = dataset.build_node_table(cleaned(dataset.parse_nodes(src, counters)))
     with atomic_output(out_path) as dst:
         dataset.write_nodes(table.values(), dst)
     log(f"clean: {len(table)} nodes")
     if want_report:
-        log("clean-report " + json.dumps(dataclasses.asdict(aggregate), sort_keys=True))
+        report = dataclasses.asdict(aggregate) | {"missing_text": counters.missing_text}
+        log("clean-report " + json.dumps(report, sort_keys=True))
     return table
 
 
@@ -183,17 +186,20 @@ def _read_node_table(nodes_path: str) -> dict[int, dataset.NodeRecord]:
 
 
 def _sentence_pairs(cfg: PipelineConfig, pairs_path: str,
-                    table: dict[int, dataset.NodeRecord],
-                    labeled: bool) -> list[pairs_mod.SentencePair]:
+                    table: dict[int, dataset.NodeRecord], labeled: bool,
+                    tokens: dict[int, tuple[str, ...]] | None = None,
+                    ) -> list[pairs_mod.SentencePair]:
     """Join a pairs file against `table` and build each sentence pair once,
-    tokenizing each node once."""
+    tokenizing each node once. `tokens` (node id -> token tuple) may be
+    passed to several calls under one max_tokens, so they share it."""
+    if tokens is None:
+        tokens = {}
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
             dataset.parse_pairs(src, labeled=labeled), table,
             strict=cfg.strict_join, counters=counters,
         )
-        tokens: dict[int, tuple[str, ...]] = {}  # node id -> tokens, shared by its pairs
         built = [pairs_mod.build_pair(pair, n1.text, n2.text, cfg.train.max_tokens, tokens)
                  for pair, n1, n2 in joined]
     log(f"pairs: {len(built)} from {pairs_path}" + (
@@ -317,13 +323,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if not Path(value).exists():
             raise FileNotFoundError(f"{name} path does not exist: {value}")
     table = _clean_nodes(cfg, cfg.nodes, cfg.path("cleaned_nodes"), want_report=True)
-    examples = _sentence_pairs(cfg, cfg.train_pairs, table, labeled=True)
+    # One token cache for both files: both are cut at cfg.train.max_tokens,
+    # so a node in both is tokenized once and its pairs share one tuple.
+    tokens: dict[int, tuple[str, ...]] = {}
+    examples = _sentence_pairs(cfg, cfg.train_pairs, table, labeled=True, tokens=tokens)
     with atomic_output(cfg.path("prepared")) as dst:
         pairs_mod.write_prepared(examples, dst)
     model = _train(cfg, examples, cfg.path("model"))
     # Built only after training, so test tokens never sit beside the
     # featurized training set.
-    tests = _sentence_pairs(cfg, cfg.test_pairs, table, labeled=False)
+    tests = _sentence_pairs(cfg, cfg.test_pairs, table, labeled=False, tokens=tokens)
     _submit(_predict(model, tests, cfg.path("predictions")), cfg.path("submission"))
     return 0
 

@@ -136,6 +136,38 @@ class TestBatchesMatchScalarOracle:
             sigmoid(reference_dot(weights, f)) for f in oracle]
 
 
+class TestNodeReuseMatchesScalarOracle:
+    """Pairs drawn from a small pool of nodes, as a pairs file draws them
+    from a node table: a node on both sides of one pair, a node in many
+    pairs on either side, and equal tuples that are distinct objects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(st.lists(st.sampled_from(["a", "b", "日本"]) | token, max_size=6),
+                      min_size=1, max_size=6),
+        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()),
+                       min_size=1, max_size=133),
+        hash_bits=st.integers(1, 18),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_and_probabilities(self, pool, picks, hash_bits, seed):
+        nodes = [tuple(tokens) for tokens in pool]
+        pairs = []
+        for i, (a, b, copy) in enumerate(picks):
+            premise, hypothesis = nodes[a % len(nodes)], nodes[b % len(nodes)]
+            if copy:  # an equal tuple that is another object
+                hypothesis = tuple(list(hypothesis))
+            pairs.append(SentencePair(f"p{i}", premise, hypothesis))
+        rows = featurize(pairs, hash_bits)
+        oracle = [reference_featurize(sp, hash_bits) for sp in pairs]
+        assert [row_items(rows, r) for r in range(len(rows))] == [list(f.items()) for f in oracle]
+
+        model = BaselineModel.zeros(TrainConfig(hash_bits=hash_bits))
+        model.weights[:] = np.random.default_rng(seed).normal(0.0, 2.0, model.dim)
+        assert [p.probability for p in predict(model, pairs)] == [
+            sigmoid(reference_dot(model.weights, f)) for f in oracle]
+
+
 class TestAdamW:
     def test_zero_gradient_no_decay(self):
         cfg = TrainConfig(weight_decay=0.0)

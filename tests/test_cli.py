@@ -75,6 +75,14 @@ class TestClean:
         payload = json.loads(report_line.split(" ", 1)[1])
         assert payload["chars_removed_debrace"] == 7
 
+    def test_report_counts_node_lines_without_text(self, monkeypatch, capsys):
+        code = run_cli(["clean", "--report"], "1\tabc\n2\n3\tx y\n", monkeypatch)
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == "1\tabc\n2\t\n3\tx y\n"
+        report_line = next(l for l in err.splitlines() if l.startswith("clean-report "))
+        assert json.loads(report_line.split(" ", 1)[1])["missing_text"] == 1
+
     def test_file_output(self, tmp_path, fixture_dir):
         out = tmp_path / "cleaned.tsv"
         code = run_cli([
@@ -355,19 +363,19 @@ class TestPipeline:
         monkeypatch.setattr(pairs, "tokenize", counting_tokenize)
         monkeypatch.setattr(pairs, "build_pair", recording_build_pair)
         assert self.run_pipeline(inputs, tmp_path / "out") == 0
-        distinct = {name: {i for r in recs for i in (r.id1, r.id2)} for name, recs in records.items()}
-        assert len(calls) == len(distinct["train.csv"]) + len(distinct["test.csv"])
-        n_train = len(records["train.csv"])
-        assert len(built) == n_train + len(records["test.csv"])
+        # One cache for both files: each node of either file is tokenized once.
+        distinct = {i for recs in records.values() for r in recs for i in (r.id1, r.id2)}
+        assert len(distinct) == 400
+        assert len(calls) == len(distinct)
+        assert len(built) == len(records["train.csv"]) + len(records["test.csv"])
         reused = 0
-        for file_pairs in (built[:n_train], built[n_train:]):
-            tokens_of = {}
-            for record, sp in file_pairs:
-                for node_id, tokens in ((record.id1, sp.premise_tokens),
-                                        (record.id2, sp.hypothesis_tokens)):
-                    reused += node_id in tokens_of
-                    assert tokens_of.setdefault(node_id, tokens) is tokens
-        assert reused == (800 if shared else 0)
+        tokens_of = {}
+        for record, sp in built:
+            for node_id, tokens in ((record.id1, sp.premise_tokens),
+                                    (record.id2, sp.hypothesis_tokens)):
+                reused += node_id in tokens_of
+                assert tokens_of.setdefault(node_id, tokens) is tokens
+        assert reused == (1200 if shared else 400)
 
 
 class TestConfigFile:
