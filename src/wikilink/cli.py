@@ -57,115 +57,79 @@ def open_input(path: str | None):
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Settings
 
 
-@dataclasses.dataclass
-class PipelineConfig:
-    nodes: str | None = None
-    train_pairs: str | None = None
-    test_pairs: str | None = None
-    output_dir: str = "out"
-    model: str | None = None
-    clean: textclean.CleanConfig = dataclasses.field(default_factory=textclean.CleanConfig)
-    # Also owns the per-side token budget (max_tokens), which model.json records.
-    train: baseline.TrainConfig = dataclasses.field(default_factory=baseline.TrainConfig)
-    strict_join: bool = True
-
-    def path(self, name: str) -> str:
-        explicit = getattr(self, name, None)
-        if isinstance(explicit, str) and explicit:
-            return explicit
-        return str(Path(self.output_dir) / {
-            "model": "model.json",
-            "cleaned_nodes": "nodes.clean.tsv",
-            "prepared": "prepared.tsv",
-            "predictions": "predictions.csv",
-            "submission": "submission.csv",
-        }[name])
-
-
-_PATH_KEYS = ("nodes", "train_pairs", "test_pairs", "output_dir", "model")
+# INI section -> its keys. A flag whose argparse dest is one of these keys
+# overrides the file.
 _SECTION_KEYS = {
-    "paths": _PATH_KEYS,
+    "paths": ("nodes", "train_pairs", "test_pairs", "output_dir", "model"),
     "clean": textclean.STAGES,
     "train": tuple(baseline.TRAIN_FIELD_TYPES),
     "run": ("strict_join",),
 }
 
 
-def _read_config_file(path: str, train: baseline.TrainConfig) -> PipelineConfig:
-    parser = configparser.ConfigParser()
-    parser.read_dict({section: {} for section in _SECTION_KEYS})
-    try:
-        read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ParseError(f"config file {path}: {exc}") from exc
-    if not read:
-        raise ParseError(f"config file not found: {path}")
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ValidationError(f"unknown section [{section}] in {path}")
-        for key in parser.options(section):
-            if key not in _SECTION_KEYS[section]:
-                raise ValidationError(f"unknown [{section}] option {key!r} in {path}")
-    return PipelineConfig(
-        **{key: parser.get("paths", key) for key in parser.options("paths")},
-        clean=textclean.CleanConfig(stage_mask=tuple(
-            s for s in textclean.STAGES if parser.getboolean("clean", s, fallback=True)
-        )),
-        train=dataclasses.replace(train, **{
-            key: baseline.TRAIN_FIELD_TYPES[key](parser.get("train", key))
-            for key in parser.options("train")
-        }),
-        strict_join=parser.getboolean("run", "strict_join", fallback=True),
-    )
+def settings(args: argparse.Namespace) -> dict[str, dict]:
+    """The settings given, by section: the --config file, then the flags over it.
 
-
-def build_config(args: argparse.Namespace,
-                 train: baseline.TrainConfig | None = None) -> PipelineConfig:
-    """Flags over the config file over defaults; a bad value is a ValidationError.
-
-    `train` is the base under the [train] keys and flags (default TrainConfig()).
+    Every value is typed and range-checked whether or not the subcommand reads
+    it; a bad one is a ValidationError. Values are literal (no % interpolation).
     """
-    if train is None:
-        train = baseline.TrainConfig()
+    given: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
+    path = getattr(args, "config", None)
     try:
-        cfg = (_read_config_file(args.config, train) if getattr(args, "config", None)
-               else PipelineConfig(train=train))
-        for key in _PATH_KEYS:
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(cfg, key, value)
-        cfg.train = dataclasses.replace(cfg.train, **{
-            key: getattr(args, key)
-            for key in baseline.TRAIN_FIELD_TYPES
-            if getattr(args, key, None) is not None
-        })
-        cfg.clean = textclean.CleanConfig(stage_mask=tuple(
-            s for s in cfg.clean.stage_mask if not getattr(args, f"no_{s}", False)
-        ))
+        if path:
+            parser = configparser.ConfigParser(interpolation=None)
+            try:
+                read = parser.read(path, encoding="utf-8")
+            except configparser.Error as exc:
+                raise ParseError(f"config file {path}: {exc}") from exc
+            if not read:
+                raise ParseError(f"config file not found: {path}")
+            if parser.defaults():
+                raise ValidationError(f"[DEFAULT] options {sorted(parser.defaults())} in "
+                                      f"{path}: each setting belongs in its own section")
+            for section in parser.sections():
+                if section not in _SECTION_KEYS:
+                    raise ValidationError(f"unknown section [{section}] in {path}")
+                for key, value in parser.items(section):
+                    if key not in _SECTION_KEYS[section]:
+                        raise ValidationError(f"unknown [{section}] option {key!r} in {path}")
+                    if section == "train":
+                        value = baseline.TRAIN_FIELD_TYPES[key](value)
+                    elif section != "paths":  # [clean] and [run] hold booleans
+                        value = parser.getboolean(section, key)
+                    given[section][key] = value
+        for section, keys in _SECTION_KEYS.items():
+            given[section].update({key: getattr(args, key) for key in keys
+                                   if getattr(args, key, None) is not None})
+        baseline.TrainConfig(**given["train"])  # range-checks every [train] value given
     except ValueError as exc:
         raise ValidationError(f"bad setting: {exc}") from exc
-    if getattr(args, "lenient_join", False):
-        cfg.strict_join = False
-    return cfg
+    return given
+
+
+def _model_path(paths: dict) -> str:
+    return paths.get("model") or str(Path(paths.get("output_dir", "out")) / "model.json")
 
 
 # ---------------------------------------------------------------------------
 # Pipeline steps (shared by individual subcommands and `pipeline`)
 
 
-def _clean_nodes(cfg: PipelineConfig, in_path: str | None, out_path: str | None,
+def _clean_nodes(given: dict, in_path: str | None, out_path: str | None,
                  want_report: bool) -> dict[int, dataset.NodeRecord]:
     """Clean every node, write the cleaned table and return it. The report
     line adds `missing_text`: node lines with no tab, kept with empty text."""
+    config = textclean.CleanConfig(stage_mask=tuple(
+        s for s in textclean.STAGES if given["clean"].get(s, True)))
     aggregate = textclean.CleanReport()
     counters = dataset.ParseCounters()
 
     def cleaned(records):
         for rec in records:
-            text, rep = textclean.clean(rec.text, cfg.clean)
+            text, rep = textclean.clean(rec.text, config)
             aggregate.merge(rep)
             yield dataset.NodeRecord(rec.id, text)
 
@@ -180,37 +144,36 @@ def _clean_nodes(cfg: PipelineConfig, in_path: str | None, out_path: str | None,
     return table
 
 
-def _read_node_table(nodes_path: str) -> dict[int, dataset.NodeRecord]:
-    with open_input(nodes_path) as src:
-        return dataset.build_node_table(dataset.parse_nodes(src))
-
-
-def _sentence_pairs(cfg: PipelineConfig, pairs_path: str,
-                    table: dict[int, dataset.NodeRecord], labeled: bool,
-                    tokens: dict[int, tuple[str, ...]] | None = None,
+def _sentence_pairs(given: dict, pairs_path: str,
+                    nodes: str | dict[int, dataset.NodeRecord], labeled: bool,
+                    max_tokens: int, tokens: dict[int, tuple[str, ...]] | None = None,
                     ) -> list[pairs_mod.SentencePair]:
-    """Join a pairs file against `table` and build each sentence pair once,
-    tokenizing each node once. `tokens` (node id -> token tuple) may be
-    passed to several calls under one max_tokens, so they share it."""
+    """Join a pairs file against `nodes` (a node table, or a nodes file path)
+    and build each sentence pair once, tokenizing each node once. `tokens`
+    (node id -> token tuple) may be passed to several calls under one
+    max_tokens, so they share it."""
+    if not isinstance(nodes, dict):
+        with open_input(nodes) as src:
+            nodes = dataset.build_node_table(dataset.parse_nodes(src))
     if tokens is None:
         tokens = {}
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
-            dataset.parse_pairs(src, labeled=labeled), table,
-            strict=cfg.strict_join, counters=counters,
+            dataset.parse_pairs(src, labeled=labeled), nodes,
+            strict=given["run"].get("strict_join", True), counters=counters,
         )
-        built = [pairs_mod.build_pair(pair, n1.text, n2.text, cfg.train.max_tokens, tokens)
+        built = [pairs_mod.build_pair(pair, n1.text, n2.text, max_tokens, tokens)
                  for pair, n1, n2 in joined]
     log(f"pairs: {len(built)} from {pairs_path}" + (
         f" ({counters.skipped_joins} skipped)" if counters.skipped_joins else ""))
     return built
 
 
-def _train(cfg: PipelineConfig, examples: list[pairs_mod.SentencePair],
+def _train(config: baseline.TrainConfig, examples: list[pairs_mod.SentencePair],
            model_path: str) -> baseline.BaselineModel:
     log(f"train: {len(examples)} examples")
-    model = baseline.train(examples, cfg.train)
+    model = baseline.train(examples, config)
     with atomic_output(model_path) as dst:
         baseline.save_model(model, dst)
     log(f"train: model written to {model_path}")
@@ -233,16 +196,15 @@ def _submit(predictions: list[baseline.Prediction], out_path: str | None) -> Non
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each gets the parsed flags and the settings given
 
 
-def cmd_clean(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    _clean_nodes(cfg, args.input, args.output, args.report)
+def cmd_clean(args: argparse.Namespace, given: dict) -> int:
+    _clean_nodes(given, args.input, args.output, args.report)
     return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace, given: dict) -> int:
     with open_input(args.pairs) as src:
         stats = dataset.label_stats(dataset.parse_pairs(src, labeled=True))
     print(f"{'':12s}{'Non-related (0)':>18s}{'Related (1)':>14s}")
@@ -252,40 +214,40 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prepare(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    built = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes),
-                            labeled=not args.unlabeled)
+def cmd_prepare(args: argparse.Namespace, given: dict) -> int:
+    max_tokens = baseline.TrainConfig(**given["train"]).max_tokens
+    built = _sentence_pairs(given, args.pairs, args.nodes, labeled=not args.unlabeled,
+                            max_tokens=max_tokens)
     with atomic_output(args.output) as dst:
         pairs_mod.write_prepared(built, dst)
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    examples = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes), labeled=True)
-    _train(cfg, examples, args.model_out or cfg.path("model"))
+def cmd_train(args: argparse.Namespace, given: dict) -> int:
+    config = baseline.TrainConfig(**given["train"])
+    examples = _sentence_pairs(given, args.pairs, args.nodes, labeled=True,
+                               max_tokens=config.max_tokens)
+    _train(config, examples, _model_path(given["paths"]))
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace, given: dict) -> int:
     """Score pairs under the model's own training settings; a setting from
     --max-tokens or the config's [train] section must equal the model's."""
-    with open_input(args.model_file) as src:
+    with open_input(args.model) as src:
         model = baseline.load_model(src)
-    cfg = build_config(args, train=model.config)
-    for key in baseline.TRAIN_FIELD_TYPES:
-        given, trained = getattr(cfg.train, key), getattr(model.config, key)
-        if given != trained:
+    for key, value in given["train"].items():
+        trained = getattr(model.config, key)
+        if value != trained:
             raise ValidationError(
-                f"{key} {given} (flag or [train]) differs from the model's {key} {trained}")
-    examples = _sentence_pairs(cfg, args.pairs, _read_node_table(args.nodes),
-                               labeled=args.labeled)
+                f"{key} {value} (flag or [train]) differs from the model's {key} {trained}")
+    examples = _sentence_pairs(given, args.pairs, args.nodes, labeled=args.labeled,
+                               max_tokens=model.config.max_tokens)
     _predict(model, examples, args.output)
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, given: dict) -> int:
     with open_input(args.predictions) as src:
         predictions = list(evaluate.read_predictions(src))
     with open_input(args.pairs) as src:
@@ -301,39 +263,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_submit(args: argparse.Namespace) -> int:
+def cmd_submit(args: argparse.Namespace, given: dict) -> int:
     with open_input(args.predictions) as src:
         predictions = list(evaluate.read_predictions(src))
     _submit(predictions, args.output)
     return 0
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
+def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
     """Clean, prepare, train, predict and submit, parsing each input once.
 
     `prepared.tsv` is written from the very list the model trains on. The
     model and predictions are used from memory; the JSON float round trip
     is exact, so this matches reading them back.
     """
-    cfg = build_config(args)
-    for name, value in (("nodes", cfg.nodes), ("train_pairs", cfg.train_pairs),
-                        ("test_pairs", cfg.test_pairs)):
-        if not value:
+    paths = given["paths"]
+    for name in ("nodes", "train_pairs", "test_pairs"):
+        if not paths.get(name):
             raise ValidationError(f"pipeline requires a {name} path (flag or config file)")
-        if not Path(value).exists():
-            raise FileNotFoundError(f"{name} path does not exist: {value}")
-    table = _clean_nodes(cfg, cfg.nodes, cfg.path("cleaned_nodes"), want_report=True)
-    # One token cache for both files: both are cut at cfg.train.max_tokens,
+        if not Path(paths[name]).exists():
+            raise FileNotFoundError(f"{name} path does not exist: {paths[name]}")
+    out = Path(paths.get("output_dir", "out"))
+    config = baseline.TrainConfig(**given["train"])
+    table = _clean_nodes(given, paths["nodes"], str(out / "nodes.clean.tsv"), want_report=True)
+    # One token cache for both files: both are cut at config.max_tokens,
     # so a node in both is tokenized once and its pairs share one tuple.
     tokens: dict[int, tuple[str, ...]] = {}
-    examples = _sentence_pairs(cfg, cfg.train_pairs, table, labeled=True, tokens=tokens)
-    with atomic_output(cfg.path("prepared")) as dst:
+    examples = _sentence_pairs(given, paths["train_pairs"], table, labeled=True,
+                               max_tokens=config.max_tokens, tokens=tokens)
+    with atomic_output(str(out / "prepared.tsv")) as dst:
         pairs_mod.write_prepared(examples, dst)
-    model = _train(cfg, examples, cfg.path("model"))
+    model = _train(config, examples, _model_path(paths))
     # Built only after training, so test tokens never sit beside the
     # featurized training set.
-    tests = _sentence_pairs(cfg, cfg.test_pairs, table, labeled=False, tokens=tokens)
-    _submit(_predict(model, tests, cfg.path("predictions")), cfg.path("submission"))
+    tests = _sentence_pairs(given, paths["test_pairs"], table, labeled=False,
+                            max_tokens=config.max_tokens, tokens=tokens)
+    _submit(_predict(model, tests, str(out / "predictions.csv")), str(out / "submission.csv"))
     return 0
 
 
@@ -341,22 +306,56 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # Argument parsing
 
 
-def _config_flags(p: argparse.ArgumentParser, *groups: str) -> None:
-    """--config plus the named flag groups, so a subcommand takes only the
-    settings its handler reads; any other flag is a usage error."""
-    p.add_argument("--config", help="INI config file; flags override it")
-    if "clean" in groups:
-        for stage in textclean.STAGES:
-            p.add_argument(f"--no-{stage}", action="store_true",
-                           help=f"disable the {stage} cleaning stage")
-    if "pairs" in groups:
-        p.add_argument("--lenient-join", action="store_true",
-                       help="skip pairs referencing missing nodes instead of failing")
-        p.add_argument("--max-tokens", type=int, help="per-side token budget (default 128)")
-    if "train" in groups:
-        for key in ("batch_size", "learning_rate", "epochs", "seed", "hash_bits",
-                    "weight_decay", "decision_threshold"):
-            p.add_argument("--" + key.replace("_", "-"), type=baseline.TRAIN_FIELD_TYPES[key])
+_REQUIRED = {"required": True}
+_STDOUT = ("--output", {"default": "-"})
+# Flag groups. Each flag's dest is the settings key it overrides; a flag
+# not given leaves None there, so the config file or the default holds.
+_OFF = {"action": "store_false", "default": None}
+_FLAG_GROUPS = {
+    "clean": [(f"--no-{stage}", {**_OFF, "dest": stage,
+                                 "help": f"disable the {stage} cleaning stage"})
+              for stage in textclean.STAGES],
+    "pairs": [("--lenient-join", {
+                  **_OFF, "dest": "strict_join",
+                  "help": "skip pairs referencing missing nodes instead of failing"}),
+              ("--max-tokens", {"type": int, "help": "per-side token budget (default 128)"})],
+    "train": [("--" + key.replace("_", "-"), {"type": baseline.TRAIN_FIELD_TYPES[key]})
+              for key in ("batch_size", "learning_rate", "epochs", "seed", "hash_bits",
+                          "weight_decay", "decision_threshold")],
+}
+# name -> (handler, help, its own arguments, flag groups). A subcommand with
+# flag groups also takes --config, and takes only the settings it reads.
+COMMANDS = {
+    "clean": (cmd_clean, "clean a nodes TSV", [
+        ("--input", {"default": "-", "help": "nodes TSV path or - for stdin"}),
+        ("--output", {"default": "-", "help": "cleaned TSV path or - for stdout"}),
+        ("--report", {"action": "store_true", "help": "emit an aggregate cleaning report line"}),
+    ], ("clean",)),
+    "stats": (cmd_stats, "label statistics of a labeled pairs CSV",
+              [("--pairs", _REQUIRED)], ()),
+    "prepare": (cmd_prepare, "build prepared premise/hypothesis pairs", [
+        ("--pairs", _REQUIRED), ("--nodes", _REQUIRED), _STDOUT,
+        ("--unlabeled", {"action": "store_true"}),
+    ], ("pairs",)),
+    "train": (cmd_train, "train the baseline classifier", [
+        ("--pairs", _REQUIRED), ("--nodes", _REQUIRED),
+        ("--model", {"help": "output model file"}),
+    ], ("pairs", "train")),
+    "predict": (cmd_predict, "score pairs with a trained model", [
+        ("--model", _REQUIRED), ("--pairs", _REQUIRED), ("--nodes", _REQUIRED), _STDOUT,
+        ("--labeled", {"action": "store_true",
+                       "help": "pairs file carries labels (evaluation runs)"}),
+    ], ("pairs",)),
+    "eval": (cmd_eval, "macro-F1 report for predictions vs gold", [
+        ("--predictions", _REQUIRED), ("--pairs", {"required": True, "help": "labeled pairs CSV"}),
+    ], ()),
+    "submit": (cmd_submit, "write the competition submission CSV",
+               [("--predictions", _REQUIRED), _STDOUT], ()),
+    "pipeline": (cmd_pipeline, "clean, prepare, train, predict, submit", [
+        ("--nodes", {}), ("--train-pairs", {}), ("--test-pairs", {}), ("--output-dir", {}),
+        ("--model", {}),
+    ], ("clean", "pairs", "train")),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -365,70 +364,21 @@ def make_parser() -> argparse.ArgumentParser:
         description="Wikipedia link prediction as sentence-pair classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("clean", help="clean a nodes TSV")
-    p.add_argument("--input", default="-", help="nodes TSV path or - for stdin")
-    p.add_argument("--output", default="-", help="cleaned TSV path or - for stdout")
-    p.add_argument("--report", action="store_true",
-                   help="emit an aggregate cleaning report line")
-    _config_flags(p, "clean")
-    p.set_defaults(func=cmd_clean)
-
-    p = sub.add_parser("stats", help="label statistics of a labeled pairs CSV")
-    p.add_argument("--pairs", required=True)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("prepare", help="build prepared premise/hypothesis pairs")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--output", default="-")
-    p.add_argument("--unlabeled", action="store_true")
-    _config_flags(p, "pairs")
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("train", help="train the baseline classifier")
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--model", dest="model_out", help="output model file")
-    _config_flags(p, "pairs", "train")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="score pairs with a trained model")
-    p.add_argument("--model", dest="model_file", required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--output", default="-")
-    p.add_argument("--labeled", action="store_true",
-                   help="pairs file carries labels (evaluation runs)")
-    _config_flags(p, "pairs")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", help="macro-F1 report for predictions vs gold")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--pairs", required=True, help="labeled pairs CSV")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("submit", help="write the competition submission CSV")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser("pipeline", help="clean, prepare, train, predict, submit")
-    p.add_argument("--nodes")
-    p.add_argument("--train-pairs", dest="train_pairs")
-    p.add_argument("--test-pairs", dest="test_pairs")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--model")
-    _config_flags(p, "clean", "pairs", "train")
-    p.set_defaults(func=cmd_pipeline)
-
+    for name, (handler, help_text, arguments, groups) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if groups:
+            arguments = [*arguments, ("--config", {"help": "INI config file; flags override it"}),
+                         *(flag for group in groups for flag in _FLAG_GROUPS[group])]
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, settings(args))
     except PipelineError as exc:
         log(f"error [{exc.category}]: {exc}")
         return EXIT_CODES.get(exc.category, 1)

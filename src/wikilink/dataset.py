@@ -138,20 +138,6 @@ def parse_pairs(stream: IO, labeled: bool) -> Iterator[PairRecord]:
         yield PairRecord(pair_id, id1, id2, label)
 
 
-def write_pairs(records: Iterable[PairRecord], stream: IO, labeled: bool) -> int:
-    stream.write((LABELED_HEADER if labeled else UNLABELED_HEADER) + "\n")
-    n = 0
-    for rec in records:
-        if labeled:
-            if rec.label is None:
-                raise ValidationError(f"pair {rec.pair_id} has no label")
-            stream.write(f"{rec.pair_id},{rec.id1},{rec.id2},{rec.label}\n")
-        else:
-            stream.write(f"{rec.pair_id},{rec.id1},{rec.id2}\n")
-        n += 1
-    return n
-
-
 def build_node_table(records: Iterable[NodeRecord]) -> dict[int, NodeRecord]:
     return {rec.id: rec for rec in records}
 

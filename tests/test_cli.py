@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 
 import wikilink
 from wikilink import baseline, dataset, pairs
-from wikilink.cli import main
+from wikilink.cli import main, make_parser
 
 SRC = str(Path(wikilink.__file__).resolve().parents[1])
 
@@ -409,6 +410,47 @@ class TestConfigFile:
         code = main(["train", "--config", str(cfg), "--pairs", "x", "--nodes", "y"])
         assert code == 3
 
+    def test_default_section_fails_closed(self, fixture_dir, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[DEFAULT]\nepochs = 2\n")
+        assert main(["train", "--config", str(cfg), "--pairs", str(fixture_dir / "train.csv"),
+                     "--nodes", str(fixture_dir / "nodes.tsv"),
+                     "--model", str(tmp_path / "model.json")]) == 3
+        assert "error [validation]" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_percent_in_a_path_is_literal(self, fixture_dir, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(f"[paths]\nnodes = {tmp_path / '100%.tsv'}\n")
+        code = main(["pipeline", "--config", str(cfg),
+                     "--train-pairs", str(fixture_dir / "train.csv"),
+                     "--test-pairs", str(fixture_dir / "test.csv"),
+                     "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "does not exist" in err and "100%.tsv" in err and "Traceback" not in err
+
+    # [paths] lines of train's config -> where train writes the model without --model
+    @pytest.mark.parametrize("paths,written", [
+        ("", "out/model.json"),
+        ("model = {d}/explicit.json", "explicit.json"),
+        ("output_dir = {d}/out", "out/model.json"),
+        ("output_dir = {d}/out\nmodel = {d}/explicit.json", "explicit.json"),
+    ])
+    def test_train_model_path_without_flag(self, fixture_dir, tmp_path, monkeypatch,
+                                           paths, written):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "config.ini"
+        cfg.write_text("[paths]\n" + paths.format(d=tmp_path) + "\n")
+        assert main(["train", "--config", str(cfg), "--epochs", "1",
+                     "--pairs", str(fixture_dir / "train.csv"),
+                     "--nodes", str(fixture_dir / "nodes.tsv")]) == 0
+        payload = json.loads((tmp_path / written).read_text())
+        assert payload["format"] == baseline.MODEL_FORMAT
+        written_files = {p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*.json")}
+        assert written_files == {written}
+
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_token_budget_reaches_pairs_and_model(self, fixture_dir, tmp_path, how):
         cfg = tmp_path / "config.ini"
@@ -430,6 +472,8 @@ BAD_SETTINGS = {
     "bad boolean in config": ("[run]\nstrict_join = maybe\n", [], None, 3, "maybe"),
     "unknown section": ("[pairs]\nmax_tokens = 2\n", [], None, 3, "[pairs]"),
     "unknown run option": ("[run]\nthreads = 1\n", [], None, 3, "threads"),
+    "key under DEFAULT": ("[DEFAULT]\nepochs = 2\n", [], None, 3, "epochs"),
+    "interpolation syntax in config": ("[train]\nepochs = %(x)s\n", [], None, 3, "bad setting"),
     "no section header": ("epochs = 1\n", [], None, 2, "section header"),
     "nodes not utf-8": ("", [], b"1\tcaf\xe9\n", 2, "utf-8"),
 }
@@ -502,6 +546,39 @@ class TestUsage:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
+_CONFIG = {"--config"}
+_CLEAN_FLAGS = {"--no-balance", "--no-debrace", "--no-depunct", "--no-despace"}
+_PAIR_FLAGS = {"--lenient-join", "--max-tokens"}
+_TRAIN_FLAGS = {"--batch-size", "--learning-rate", "--epochs", "--seed", "--hash-bits",
+                "--weight-decay", "--decision-threshold"}
+# subcommand -> (its option strings besides -h/--help, the required ones)
+CLI_SURFACE = {
+    "clean": ({"--input", "--output", "--report"} | _CONFIG | _CLEAN_FLAGS, set()),
+    "stats": ({"--pairs"}, {"--pairs"}),
+    "prepare": ({"--pairs", "--nodes", "--output", "--unlabeled"} | _CONFIG | _PAIR_FLAGS,
+                {"--pairs", "--nodes"}),
+    "train": ({"--pairs", "--nodes", "--model"} | _CONFIG | _PAIR_FLAGS | _TRAIN_FLAGS,
+              {"--pairs", "--nodes"}),
+    "predict": ({"--model", "--pairs", "--nodes", "--output", "--labeled"} | _CONFIG | _PAIR_FLAGS,
+                {"--model", "--pairs", "--nodes"}),
+    "eval": ({"--predictions", "--pairs"}, {"--predictions", "--pairs"}),
+    "submit": ({"--predictions", "--output"}, {"--predictions"}),
+    "pipeline": ({"--nodes", "--train-pairs", "--test-pairs", "--output-dir", "--model"}
+                 | _CONFIG | _CLEAN_FLAGS | _PAIR_FLAGS | _TRAIN_FLAGS, set()),
+}
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_cli_surface(command):
+    (subparsers,) = [a for a in make_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(CLI_SURFACE)
+    actions = [a for a in subparsers.choices[command]._actions if "--help" not in a.option_strings]
+    options, required = CLI_SURFACE[command]
+    assert {s for a in actions for s in a.option_strings} == options
+    assert {s for a in actions if a.required for s in a.option_strings} == required
 
 
 def _with(part, key, value):

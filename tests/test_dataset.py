@@ -15,9 +15,10 @@ from wikilink.dataset import (
     parse_nodes,
     parse_pairs,
     write_nodes,
-    write_pairs,
 )
 from wikilink.errors import ParseError, ValidationError
+
+from oracles import write_pairs
 
 
 class TestParseNodes:
