@@ -11,7 +11,11 @@ flags. Each run is a `python -m wikilink.cli` child that imports the
 package from this checkout's `src/`, and writes under a temporary
 directory. One line per artifact, `<run> <artifact>
 <sha256>`, so two checkouts produce byte-identical artifacts exactly
-when `diff` of their outputs is empty.
+when `diff` of their outputs is empty. One more line per run,
+`<run> model.weights <sha256>`, digests the weight vector that this
+checkout's `load_model` reads back from `model.json`: it stays equal
+across a change of the model file's layout that leaves the weights as
+they were.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "synthetic"
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "src"))
 import corpus  # noqa: E402
+from wikilink.baseline import load_model  # noqa: E402
 
 ARTIFACTS = ("model.json", "predictions.csv", "submission.csv", "prepared.tsv", "nodes.clean.tsv")
 STAGES = ("balance", "debrace", "depunct", "despace")
@@ -49,7 +55,10 @@ def pipeline(inputs: Path, out: Path, flags) -> dict[str, str]:
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    with open(out / "model.json", encoding="utf-8") as src:
+        digests["model.weights"] = hashlib.sha256(load_model(src).weights.tobytes()).hexdigest()
+    return digests
 
 
 def node_reuse_inputs(out: Path) -> Path:

@@ -527,40 +527,54 @@ def predict(model: BaselineModel, pairs: Sequence[SentencePair]) -> list[Predict
     return predictions
 
 
-MODEL_FORMAT = "wikilink-baseline-v1"
+MODEL_FORMAT = "wikilink-baseline-v2"
+MODEL_FORMAT_V1 = "wikilink-baseline-v1"  # dense weights; still read
+_V2_KEYS = {"format", "config", "gaps", "weights"}
 
 
 def save_model(model: BaselineModel, stream: IO) -> None:
-    """Write the model as one JSON line: `json.dumps` of the payload with
-    the weights as a list, built without a float object per weight.
+    """Write the model as one JSON line in the v2 layout.
 
-    Only the weights that are not +0.0 are spelled out, by
-    float.__repr__ as json does for finite floats; each run of +0.0
-    between them is a repeated "0.0,".
+    `weights` lists, in slot order, only the weights that are not +0.0
+    (a -0.0 is kept), each spelled by float.__repr__ as json does;
+    `gaps[k]` is the run of +0.0 slots before the k-th of them. The
+    slots after the last one are +0.0 up to the length `hash_bits` gives.
     """
-    head = json.dumps({
-        "format": MODEL_FORMAT,
-        "config": asdict(model.config),
-        "hash_bits": model.config.hash_bits,
-    }, separators=(",", ":"))
     weights = model.weights
     spelled = np.flatnonzero((weights != 0) | np.signbit(weights))
-    # zeros[k]: the run of +0.0 before the k-th spelled weight; the last one ends the list.
-    zeros = np.diff(spelled, prepend=-1, append=weights.shape[0]) - 1
-    body = "".join([
-        "0.0," * run + text + ","
-        for run, text in zip(zeros.tolist(), map(float.__repr__, weights[spelled].tolist()))
-    ]) + "0.0," * int(zeros[-1])
-    stream.write(f'{head[:-1]},"weights":[{body[:-1]}]}}\n')
+    stream.write(json.dumps({
+        "format": MODEL_FORMAT,
+        "config": asdict(model.config),
+        "gaps": (np.diff(spelled, prepend=-1) - 1).tolist(),
+        "weights": weights[spelled].tolist(),
+    }, separators=(",", ":")) + "\n")
+
+
+def _scatter(gaps, values: np.ndarray, dim: int) -> np.ndarray:
+    """The dense vector a v2 file's `gaps` and spelled `weights` give."""
+    if not isinstance(gaps, list) or not set(map(type, gaps)) <= {int} or min(gaps, default=0) < 0:
+        raise ValidationError("model gaps must be a list of non-negative integers")
+    if len(gaps) != values.shape[0]:
+        raise ValidationError(
+            f"model has {len(gaps)} gaps but {values.shape[0]} spelled weights")
+    # Summed as Python ints, so no gap can overflow before the bound is checked.
+    if sum(gaps) + len(gaps) > dim:
+        raise ValidationError(f"model gaps place a weight past slot {dim - 1}")
+    weights = np.zeros(dim)
+    weights[np.cumsum(np.asarray(gaps, dtype=np.int64) + 1) - 1] = values
+    return weights
 
 
 def load_model(stream: IO) -> BaselineModel:
-    """Read a model that save_model wrote; any other input fails closed.
+    """Read a model that save_model wrote, in the v2 or the v1 layout; any
+    other input fails closed.
 
     Text that is not a JSON object is a ParseError. A bad format tag, a
     config without exactly the TrainConfig fields, each of its JSON type
     and in range, or weights that are not finite numbers of the length
-    hash_bits gives, is a ValidationError.
+    hash_bits gives, is a ValidationError. A v2 file must also hold
+    exactly its four keys, with as many gaps as spelled weights, each gap
+    a non-negative JSON int, and no weight past the last slot.
     """
     try:
         payload = json.load(stream)
@@ -568,8 +582,11 @@ def load_model(stream: IO) -> BaselineModel:
         raise ParseError(f"model file is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ParseError("model file is not a JSON object")
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {payload.get('format')!r}")
+    version = payload.get("format")
+    if version not in (MODEL_FORMAT, MODEL_FORMAT_V1):
+        raise ValidationError(f"unsupported model format {version!r}")
+    if version == MODEL_FORMAT and payload.keys() != _V2_KEYS:
+        raise ValidationError("a v2 model must hold exactly the keys " + ", ".join(sorted(_V2_KEYS)))
     raw, weights = payload.get("config"), payload.get("weights")
     if not isinstance(raw, dict) or raw.keys() != TRAIN_FIELD_TYPES.keys():
         raise ValidationError("model config must hold exactly the keys "
@@ -589,10 +606,13 @@ def load_model(stream: IO) -> BaselineModel:
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad model: {exc}") from None
     expected = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
+    if version == MODEL_FORMAT:
+        weights = _scatter(payload["gaps"], weights, expected)
     if weights.shape[0] != expected:
         raise ValidationError(
             f"weight vector length {weights.shape[0]} does not match hash_bits {config.hash_bits}"
         )
     if not np.isfinite(weights).all():
         raise ValidationError("model weights must be finite")
-    return BaselineModel(config=config, weights=weights, m=np.zeros_like(weights), v=np.zeros_like(weights))
+    # np.zeros maps its pages lazily, where zeros_like writes them: predict never reads m or v.
+    return BaselineModel(config=config, weights=weights, m=np.zeros(expected), v=np.zeros(expected))

@@ -81,9 +81,10 @@ def settings(args: argparse.Namespace) -> dict[str, dict]:
     try:
         if path:
             parser = configparser.ConfigParser(interpolation=None)
+            # A UnicodeDecodeError is a ValueError, which the handler below calls a bad setting.
             try:
                 read = parser.read(path, encoding="utf-8")
-            except configparser.Error as exc:
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ParseError(f"config file {path}: {exc}") from exc
             if not read:
                 raise ParseError(f"config file not found: {path}")

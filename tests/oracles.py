@@ -5,14 +5,15 @@ brace routines are line-by-line transcriptions of the published
 pseudocode, the metric is recomputed from raw label lists, and the
 gradient oracle is central finite differences. The training loop runs
 over every weight slot where the library runs over the touched ones,
-and the model writer formats every weight where the library spells out
-only the nonzero ones. The featurizer, dot
-product, loss, AdamW formulas and punctuation filter below are the
-scalar or out-of-place versions that the library's array code must
-match bit for bit; the whitespace collapse is a regex over maximal
-runs where the library splits on spaces; the tokenizer splits the whole
-text where the library stops after the token budget. The pairs-CSV
-writer lives here because only the tests write pairs files.
+the v2 model writer counts the runs of +0.0 weight by weight, and the
+v1 writer, which the library no longer has, makes the files that test
+reading v1. The featurizer, dot product, loss, AdamW formulas and
+punctuation filter below are the scalar or out-of-place versions that
+the library's array code must match bit for bit; the whitespace
+collapse is a regex over maximal runs where the library splits on
+spaces; the tokenizer splits the whole text where the library stops
+after the token budget. The pairs-CSV writer lives here because only the
+tests write pairs files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from wikilink.baseline import (
     MODEL_FORMAT,
+    MODEL_FORMAT_V1,
     BaselineModel,
     FeatureRows,
     adamw_step,
@@ -270,9 +272,30 @@ def reference_train(examples: list[SentencePair], config) -> BaselineModel:
 
 
 def reference_save_model(model: BaselineModel) -> str:
-    """The model file text: json.dumps of the payload with every weight a float."""
+    """The v2 model file text: json.dumps of the payload, with the runs of
+    +0.0 counted weight by weight."""
+    gaps, spelled, run = [], [], 0
+    for w in model.weights.tolist():
+        if w == 0.0 and math.copysign(1.0, w) > 0:
+            run += 1
+        else:
+            gaps.append(run)
+            spelled.append(w)
+            run = 0
     payload = {
         "format": MODEL_FORMAT,
+        "config": asdict(model.config),
+        "gaps": gaps,
+        "weights": spelled,
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def reference_save_model_v1(model: BaselineModel) -> str:
+    """The v1 model file text, which the library no longer writes but still
+    reads: json.dumps of the payload with every weight a float."""
+    payload = {
+        "format": MODEL_FORMAT_V1,
         "config": asdict(model.config),
         "hash_bits": model.config.hash_bits,
         "weights": model.weights.tolist(),

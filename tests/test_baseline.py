@@ -34,6 +34,7 @@ from oracles import (
     reference_featurize,
     reference_loss_and_gradient,
     reference_save_model,
+    reference_save_model_v1,
     reference_train,
     row_items,
     rows_from_dicts,
@@ -456,8 +457,9 @@ def assert_round_trip(model, text):
 
 
 class TestSaveMatchesJsonOracle:
-    """`save_model` spells out only the weights that are not +0.0; the
-    oracle is json.dumps over every weight."""
+    """`save_model` writes the v2 file: json.dumps of the spelled weights
+    and their gaps, which the oracle counts weight by weight. A v1 file of
+    the same model loads to the same weights, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(hash_bits=st.integers(1, 6), data=st.data())
@@ -467,15 +469,18 @@ class TestSaveMatchesJsonOracle:
         text = saved(model)
         assert text == reference_save_model(model)
         assert_round_trip(model, text)
+        assert_round_trip(model, reference_save_model_v1(model))
 
-    @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, -1e308])
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, -1e308, 1e308])
     @pytest.mark.parametrize("hash_bits", [1, 18])
     def test_uniform_vectors(self, fill, hash_bits):
         model = model_with(np.full((1 << hash_bits) + DENSE_BLOCK_SIZE, fill), hash_bits)
         text = saved(model)
         assert text == reference_save_model(model)
         assert_round_trip(model, text)
+        assert_round_trip(model, reference_save_model_v1(model))
 
     def test_trained_model(self, fixture_sentence_pairs):
         model = train(fixture_sentence_pairs, TrainConfig())
         assert saved(model) == reference_save_model(model)
+        assert_round_trip(model, reference_save_model_v1(model))

@@ -14,6 +14,8 @@ import wikilink
 from wikilink import baseline, dataset, pairs
 from wikilink.cli import main, make_parser
 
+from oracles import reference_save_model_v1
+
 SRC = str(Path(wikilink.__file__).resolve().parents[1])
 
 ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
@@ -22,7 +24,7 @@ ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
 # order of any float sum changes the low digits of model.json, so it fails
 # here. Computed with CPython's math.exp/math.log on x86-64 glibc.
 GOLDEN_SHA256 = {
-    "model.json": "adfd1539d1e2c497a55946790def9774dd5cb7a71b0203b58066e69938dbfc5c",
+    "model.json": "5e00dc2b3545db3a1706e29e03b7aabb37f066117da951c5fde124d918f09805",
     "submission.csv": "a0c20750c241bc511356e9c62c562dd374c6747b4e435b758ffdc69fac1a7666",
     "predictions.csv": "c51bd8ac3185408f35a89c9ee4849e846f4b4b8b58e484dfb86e2ee22cad892d",
     "prepared.tsv": "027f715b130295973757058bd10371b8dd88dde7787c5e136f1a8e719a58dcbc",
@@ -242,7 +244,17 @@ class TestPredictTokenBudget:
 class TestTrainPredictEvalSubmit:
     def test_model_written(self, artifacts):
         payload = json.loads((artifacts / "model.json").read_text())
-        assert payload["format"] == "wikilink-baseline-v1"
+        assert payload["format"] == "wikilink-baseline-v2"
+
+    def test_predict_reads_v1_and_v2_alike(self, artifacts, fixture_dir, tmp_path):
+        with open(artifacts / "model.json") as src:
+            model = baseline.load_model(src)
+        (tmp_path / "v1.json").write_text(reference_save_model_v1(model))
+        assert main(["predict", "--model", str(tmp_path / "v1.json"),
+                     "--pairs", str(fixture_dir / "test.csv"),
+                     "--nodes", str(artifacts / "nodes.clean.tsv"),
+                     "--output", str(tmp_path / "p.csv")]) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (artifacts / "predictions.csv").read_bytes()
 
     def test_predictions_cover_all_pairs(self, artifacts):
         lines = (artifacts / "predictions.csv").read_text().splitlines()
@@ -464,7 +476,8 @@ class TestConfigFile:
         assert model["config"]["max_tokens"] == 2
 
 
-# case -> (config file text, extra flags, nodes.tsv bytes or None, exit code, named in the error)
+# case -> (config file text or bytes, extra flags, nodes.tsv bytes or None, exit code,
+#          named in the error)
 BAD_SETTINGS = {
     "epochs flag zero": ("", ["--epochs", "0"], None, 3, "epochs"),
     "max-tokens flag zero": ("", ["--max-tokens", "0"], None, 3, "max_tokens"),
@@ -476,6 +489,7 @@ BAD_SETTINGS = {
     "interpolation syntax in config": ("[train]\nepochs = %(x)s\n", [], None, 3, "bad setting"),
     "no section header": ("epochs = 1\n", [], None, 2, "section header"),
     "nodes not utf-8": ("", [], b"1\tcaf\xe9\n", 2, "utf-8"),
+    "config not utf-8": (b"[train]\nepochs = caf\xe9\n", [], None, 2, "utf-8"),
 }
 
 
@@ -509,10 +523,24 @@ def test_bad_settings_and_input_exit_with_code(case, fixture_dir, tmp_path, caps
         (tmp_path / "nodes.tsv").write_bytes(nodes_bytes)
         extra = [*extra, "--nodes", str(tmp_path / "nodes.tsv")]
     cfg = tmp_path / "config.ini"
-    cfg.write_text(config_text)
+    cfg.write_bytes(config_text if isinstance(config_text, bytes) else config_text.encode())
     assert main(pipeline_argv(fixture_dir, tmp_path / "out", "--config", str(cfg), *extra)) == code
     err = capsys.readouterr().err
-    assert "error [" in err and named in err
+    assert "error [" in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_openblas_threads_default_to_one(preset, expected):
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, wikilink.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 class TestUsage:
@@ -603,6 +631,13 @@ BAD_MODELS = {
     "bool epochs": (_with("config", "epochs", True), 3),
     "zero max_tokens": (_with("config", "max_tokens", 0), 3),
     "nan weight": (_with("weights", 0, float("nan")), 3),
+    "extra top-level key": (lambda p: json.dumps({**p, "hash_bits": 4}), 3),
+    "negative gap": (_with("gaps", 2, -1), 3),
+    "bool gap": (_with("gaps", 1, True), 3),
+    "float gap": (_with("gaps", 1, 1.0), 3),
+    "gap past the end": (_with("gaps", 3, 14), 3),
+    "gap of 2**70": (_with("gaps", 0, 2**70), 3),
+    "fewer gaps than weights": (lambda p: json.dumps({**p, "gaps": p["gaps"][:-1]}), 3),
 }
 
 
@@ -610,8 +645,9 @@ BAD_MODELS = {
 def test_bad_model_file_fails_closed(case, fixture_dir, tmp_path, capsys):
     edit, expected = BAD_MODELS[case]
     cfg = baseline.TrainConfig(hash_bits=4)
+    # 20 slots; the spelled weights sit at 0, 2, 5 and 19, the last slot.
     payload = {"format": baseline.MODEL_FORMAT, "config": dataclasses.asdict(cfg),
-               "hash_bits": cfg.hash_bits, "weights": [0.0] * 20}
+               "gaps": [0, 1, 2, 13], "weights": [0.5, -0.25, -0.0, 2.0]}
     (tmp_path / "model.json").write_text(edit(payload))
     code = main(["predict", "--model", str(tmp_path / "model.json"),
                  "--pairs", str(fixture_dir / "test.csv"),
