@@ -20,6 +20,7 @@ term (`tests/oracles.py` holds that loop), whatever FEATURIZE_CHUNK is.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import random
@@ -45,6 +46,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_PRIME_U64 = np.uint64(_FNV_PRIME)
 _NAMESPACES = ("P", "H", "S")  # premise, hypothesis, shared
 _BIGRAM_SEP = 0x1E  # byte between the two tokens of a bigram key
+# How a row maps tokens to slots: each namespace's keys start with its
+# letter and 0x1f, a bigram joins its tokens with 0x1e, each side lists
+# its unigrams then its bigrams, shared tokens go in code-point order,
+# then the dense block; slots are 64-bit FNV-1a masked to hash_bits.
+# save_model writes it and load_model requires it. The layout has not
+# changed since v1, so v1 and v2 files, which carry no tag, are read as it.
+FEATURE_LAYOUT = ("ns=P,H,S+0x1f;bigram-sep=0x1e;side=unigrams,bigrams;shared=code-point-order;"
+                  "dense=overlap,jaccard,length-diff,bias;hash=fnv1a-64-masked")
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -527,36 +536,58 @@ def predict(model: BaselineModel, pairs: Sequence[SentencePair]) -> list[Predict
     return predictions
 
 
-MODEL_FORMAT = "wikilink-baseline-v2"
+MODEL_FORMAT = "wikilink-baseline-v3"
+MODEL_FORMAT_V2 = "wikilink-baseline-v2"  # stored weights as JSON numbers; still read
 MODEL_FORMAT_V1 = "wikilink-baseline-v1"  # dense weights; still read
-_V2_KEYS = {"format", "config", "gaps", "weights"}
+_MODEL_KEYS = {
+    MODEL_FORMAT: {"format", "layout", "config", "gaps", "weights"},
+    MODEL_FORMAT_V2: {"format", "config", "gaps", "weights"},
+    MODEL_FORMAT_V1: {"format", "config", "hash_bits", "weights"},
+}
 
 
 def save_model(model: BaselineModel, stream: IO) -> None:
-    """Write the model as one JSON line in the v2 layout.
+    """Write the model as one JSON line in the v3 layout.
 
-    `weights` lists, in slot order, only the weights that are not +0.0
-    (a -0.0 is kept), each spelled by float.__repr__ as json does;
+    `weights` is the standard base64 of the weights that are not +0.0
+    (a -0.0 is kept), in slot order, each as little-endian float64;
     `gaps[k]` is the run of +0.0 slots before the k-th of them. The
     slots after the last one are +0.0 up to the length `hash_bits` gives.
     """
     weights = model.weights
-    spelled = np.flatnonzero((weights != 0) | np.signbit(weights))
+    stored = np.flatnonzero((weights != 0) | np.signbit(weights))
+    raw = weights[stored].astype("<f8").tobytes()
     stream.write(json.dumps({
         "format": MODEL_FORMAT,
+        "layout": FEATURE_LAYOUT,
         "config": asdict(model.config),
-        "gaps": (np.diff(spelled, prepend=-1) - 1).tolist(),
-        "weights": weights[spelled].tolist(),
+        "gaps": (np.diff(stored, prepend=-1) - 1).tolist(),
+        "weights": binascii.b2a_base64(raw, newline=False).decode("ascii"),
     }, separators=(",", ":")) + "\n")
 
 
+def _decode_weights(text) -> np.ndarray:
+    """The stored weights of a v3 file: canonical base64 of '<f8' values."""
+    if not isinstance(text, str):
+        raise ValidationError("v3 model weights must be a base64 string")
+    try:
+        raw = binascii.a2b_base64(text)  # lenient: skips stray bytes, so re-encode below
+    except ValueError as exc:  # binascii.Error, or a str that is not ASCII
+        raise ValidationError(f"v3 model weights are not base64: {exc}") from None
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
+        raise ValidationError("v3 model weights are not canonical base64")
+    if len(raw) % 8:
+        raise ValidationError(f"v3 model weights hold {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def _scatter(gaps, values: np.ndarray, dim: int) -> np.ndarray:
-    """The dense vector a v2 file's `gaps` and spelled `weights` give."""
+    """The dense vector a v2 or v3 file's `gaps` and stored weights give."""
     if not isinstance(gaps, list) or not set(map(type, gaps)) <= {int} or min(gaps, default=0) < 0:
         raise ValidationError("model gaps must be a list of non-negative integers")
     if len(gaps) != values.shape[0]:
         raise ValidationError(
-            f"model has {len(gaps)} gaps but {values.shape[0]} spelled weights")
+            f"model has {len(gaps)} gaps but {values.shape[0]} stored weights")
     # Summed as Python ints, so no gap can overflow before the bound is checked.
     if sum(gaps) + len(gaps) > dim:
         raise ValidationError(f"model gaps place a weight past slot {dim - 1}")
@@ -566,28 +597,36 @@ def _scatter(gaps, values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def load_model(stream: IO) -> BaselineModel:
-    """Read a model that save_model wrote, in the v2 or the v1 layout; any
+    """Read a model that save_model wrote, in the v3, v2 or v1 layout; any
     other input fails closed.
 
-    Text that is not a JSON object is a ParseError. A bad format tag, a
+    Text that is not a JSON object is a ParseError. Each of these is a
+    ValidationError: a format tag other than the three; keys other than
+    exactly those of its format; a v3 layout tag other than
+    FEATURE_LAYOUT; a v1 top-level hash_bits other than the config's; a
     config without exactly the TrainConfig fields, each of its JSON type
-    and in range, or weights that are not finite numbers of the length
-    hash_bits gives, is a ValidationError. A v2 file must also hold
-    exactly its four keys, with as many gaps as spelled weights, each gap
-    a non-negative JSON int, and no weight past the last slot.
+    and in range; or weights that are not finite numbers of the length
+    hash_bits gives. A v2 or v3 file must also hold as many gaps as
+    stored weights, each gap a non-negative JSON int, and no weight past
+    the last slot; a v3 file's weights must be the canonical base64 of a
+    whole number of float64 values.
     """
     try:
         payload = json.load(stream)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    # JSONDecodeError, an int past the digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"model file is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ParseError("model file is not a JSON object")
     version = payload.get("format")
-    if version not in (MODEL_FORMAT, MODEL_FORMAT_V1):
+    if not isinstance(version, str) or version not in _MODEL_KEYS:
         raise ValidationError(f"unsupported model format {version!r}")
-    if version == MODEL_FORMAT and payload.keys() != _V2_KEYS:
-        raise ValidationError("a v2 model must hold exactly the keys " + ", ".join(sorted(_V2_KEYS)))
-    raw, weights = payload.get("config"), payload.get("weights")
+    if payload.keys() != _MODEL_KEYS[version]:
+        raise ValidationError(f"a {version} model must hold exactly the keys "
+                              + ", ".join(sorted(_MODEL_KEYS[version])))
+    if version == MODEL_FORMAT and payload["layout"] != FEATURE_LAYOUT:
+        raise ValidationError(f"unknown feature layout {payload['layout']!r}")
+    raw, weights = payload["config"], payload["weights"]
     if not isinstance(raw, dict) or raw.keys() != TRAIN_FIELD_TYPES.keys():
         raise ValidationError("model config must hold exactly the keys "
                               + ", ".join(TRAIN_FIELD_TYPES))
@@ -598,7 +637,13 @@ def load_model(stream: IO) -> BaselineModel:
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValidationError(
                 f"model config {key} must be a JSON {kind.__name__}, got {value!r}")
-    if not isinstance(weights, list) or not set(map(type, weights)) <= {int, float}:
+    if version == MODEL_FORMAT_V1 and (type(payload["hash_bits"]) is not int
+                                       or payload["hash_bits"] != raw["hash_bits"]):
+        raise ValidationError(f"model hash_bits {payload['hash_bits']!r} differs from "
+                              f"its config's {raw['hash_bits']}")
+    if version == MODEL_FORMAT:
+        weights = _decode_weights(weights)
+    elif not isinstance(weights, list) or not set(map(type, weights)) <= {int, float}:
         raise ValidationError("model weights must be a list of numbers")
     try:
         config = TrainConfig(**{key: kind(raw[key]) for key, kind in TRAIN_FIELD_TYPES.items()})
@@ -606,7 +651,7 @@ def load_model(stream: IO) -> BaselineModel:
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad model: {exc}") from None
     expected = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
-    if version == MODEL_FORMAT:
+    if version != MODEL_FORMAT_V1:
         weights = _scatter(payload["gaps"], weights, expected)
     if weights.shape[0] != expected:
         raise ValidationError(

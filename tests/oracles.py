@@ -5,10 +5,10 @@ brace routines are line-by-line transcriptions of the published
 pseudocode, the metric is recomputed from raw label lists, and the
 gradient oracle is central finite differences. The training loop runs
 over every weight slot where the library runs over the touched ones,
-the v2 model writer counts the runs of +0.0 weight by weight, and the
-v1 writer, which the library no longer has, makes the files that test
-reading v1. The featurizer, dot product, loss, AdamW formulas and
-punctuation filter below are the scalar or out-of-place versions that
+and the v3 model writer counts the runs of +0.0 and packs the weights
+weight by weight. The v2 and v1 writers, which the library no longer
+has, make the files that test reading v2 and v1. The featurizer, dot
+product, loss, AdamW formulas and punctuation filter below are the scalar or out-of-place versions that
 the library's array code must match bit for bit; the whitespace
 collapse is a regex over maximal runs where the library splits on
 spaces; the tokenizer splits the whole text where the library stops
@@ -18,17 +18,21 @@ tests write pairs files.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import random
 import re
+import struct
 from dataclasses import asdict
 
 import numpy as np
 
 from wikilink.baseline import (
+    FEATURE_LAYOUT,
     MODEL_FORMAT,
     MODEL_FORMAT_V1,
+    MODEL_FORMAT_V2,
     BaselineModel,
     FeatureRows,
     adamw_step,
@@ -271,22 +275,44 @@ def reference_train(examples: list[SentencePair], config) -> BaselineModel:
     return model
 
 
-def reference_save_model(model: BaselineModel) -> str:
-    """The v2 model file text: json.dumps of the payload, with the runs of
-    +0.0 counted weight by weight."""
-    gaps, spelled, run = [], [], 0
+def _stored_weights(model: BaselineModel) -> tuple[list[int], list[float]]:
+    """The weights that are not +0.0, in slot order, and before each the
+    run of +0.0 slots, counted weight by weight."""
+    gaps, stored, run = [], [], 0
     for w in model.weights.tolist():
         if w == 0.0 and math.copysign(1.0, w) > 0:
             run += 1
         else:
             gaps.append(run)
-            spelled.append(w)
+            stored.append(w)
             run = 0
+    return gaps, stored
+
+
+def reference_save_model_v3(model: BaselineModel) -> str:
+    """The v3 model file text: json.dumps of the payload, each stored
+    weight packed on its own as '<d' and the bytes base64-encoded."""
+    gaps, stored = _stored_weights(model)
     payload = {
         "format": MODEL_FORMAT,
+        "layout": FEATURE_LAYOUT,
         "config": asdict(model.config),
         "gaps": gaps,
-        "weights": spelled,
+        "weights": binascii.b2a_base64(b"".join(struct.pack("<d", w) for w in stored),
+                                       newline=False).decode("ascii"),
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def reference_save_model_v2(model: BaselineModel) -> str:
+    """The v2 model file text, which the library no longer writes but still
+    reads: json.dumps of the payload, each stored weight a JSON float."""
+    gaps, stored = _stored_weights(model)
+    payload = {
+        "format": MODEL_FORMAT_V2,
+        "config": asdict(model.config),
+        "gaps": gaps,
+        "weights": stored,
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"
 

@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -33,8 +35,9 @@ from oracles import (
     reference_dot,
     reference_featurize,
     reference_loss_and_gradient,
-    reference_save_model,
     reference_save_model_v1,
+    reference_save_model_v2,
+    reference_save_model_v3,
     reference_train,
     row_items,
     rows_from_dicts,
@@ -434,7 +437,8 @@ class TestSerialization:
         assert out[0] == out[1]
 
 
-special_weight = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+MAX = sys.float_info.max
+special_weight = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, MAX, -MAX])
 model_weight = st.just(0.0) | special_weight | st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -456,31 +460,43 @@ def assert_round_trip(model, text):
     assert loaded.config == model.config
 
 
+def assert_every_format_round_trips(model):
+    """save_model writes the scalar v3 oracle's text, and that text, the v2
+    and the v1 file of the model each load to its weights, bit for bit."""
+    text = saved(model)
+    assert text == reference_save_model_v3(model)
+    for text in (text, reference_save_model_v2(model), reference_save_model_v1(model)):
+        assert_round_trip(model, text)
+
+
 class TestSaveMatchesJsonOracle:
-    """`save_model` writes the v2 file: json.dumps of the spelled weights
-    and their gaps, which the oracle counts weight by weight. A v1 file of
-    the same model loads to the same weights, bit for bit."""
+    """`save_model` writes the v3 file: the base64 of the stored weights'
+    float64 bytes and their gaps, which the oracle packs and counts weight
+    by weight. The v2 and v1 files of the same model load to the same
+    weights, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(hash_bits=st.integers(1, 6), data=st.data())
     def test_bytes_equal_oracle(self, hash_bits, data):
         dim = (1 << hash_bits) + DENSE_BLOCK_SIZE
         model = model_with(data.draw(st.lists(model_weight, min_size=dim, max_size=dim)), hash_bits)
-        text = saved(model)
-        assert text == reference_save_model(model)
-        assert_round_trip(model, text)
-        assert_round_trip(model, reference_save_model_v1(model))
+        assert_every_format_round_trips(model)
 
     @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, -1e308, 1e308])
     @pytest.mark.parametrize("hash_bits", [1, 18])
     def test_uniform_vectors(self, fill, hash_bits):
         model = model_with(np.full((1 << hash_bits) + DENSE_BLOCK_SIZE, fill), hash_bits)
-        text = saved(model)
-        assert text == reference_save_model(model)
-        assert_round_trip(model, text)
-        assert_round_trip(model, reference_save_model_v1(model))
+        assert_every_format_round_trips(model)
 
     def test_trained_model(self, fixture_sentence_pairs):
-        model = train(fixture_sentence_pairs, TrainConfig())
-        assert saved(model) == reference_save_model(model)
-        assert_round_trip(model, reference_save_model_v1(model))
+        assert_every_format_round_trips(train(fixture_sentence_pairs, TrainConfig()))
+
+    def test_hash_bits_30_bound_needs_no_vector(self):
+        """A hash_bits 30 vector is 8 GiB, more than a small host lends
+        np.zeros, so the round trip stops at hash_bits 18; the bound on the
+        gaps, summed as Python ints, still holds at 30 before any allocation."""
+        payload = json.loads(saved(model_with([0.0] * 5 + [-MAX], 1)))
+        payload["config"]["hash_bits"] = 30
+        payload["gaps"] = [(1 << 30) + DENSE_BLOCK_SIZE]
+        with pytest.raises(ValidationError, match="past slot 1073741827"):
+            load_model(io.StringIO(json.dumps(payload)))

@@ -1,20 +1,27 @@
 import argparse
+import binascii
+import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wikilink
 from wikilink import baseline, dataset, pairs
 from wikilink.cli import main, make_parser
 
-from oracles import reference_save_model_v1
+from oracles import reference_save_model_v1, reference_save_model_v2
 
 SRC = str(Path(wikilink.__file__).resolve().parents[1])
 
@@ -24,7 +31,7 @@ ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
 # order of any float sum changes the low digits of model.json, so it fails
 # here. Computed with CPython's math.exp/math.log on x86-64 glibc.
 GOLDEN_SHA256 = {
-    "model.json": "5e00dc2b3545db3a1706e29e03b7aabb37f066117da951c5fde124d918f09805",
+    "model.json": "cb28761c9252a93bc2da4279c9b8badcc3684867bbff541c216b9a97035cb018",
     "submission.csv": "a0c20750c241bc511356e9c62c562dd374c6747b4e435b758ffdc69fac1a7666",
     "predictions.csv": "c51bd8ac3185408f35a89c9ee4849e846f4b4b8b58e484dfb86e2ee22cad892d",
     "prepared.tsv": "027f715b130295973757058bd10371b8dd88dde7787c5e136f1a8e719a58dcbc",
@@ -244,17 +251,26 @@ class TestPredictTokenBudget:
 class TestTrainPredictEvalSubmit:
     def test_model_written(self, artifacts):
         payload = json.loads((artifacts / "model.json").read_text())
-        assert payload["format"] == "wikilink-baseline-v2"
+        assert payload["format"] == "wikilink-baseline-v3"
+        assert payload["layout"] == baseline.FEATURE_LAYOUT
 
-    def test_predict_reads_v1_and_v2_alike(self, artifacts, fixture_dir, tmp_path):
+    def test_predict_reads_v1_v2_and_v3_alike(self, artifacts, fixture_dir, tmp_path):
+        """Standalone `predict` writes the same predictions.csv from the v3
+        model.json and from the v1 and v2 files of the same model."""
         with open(artifacts / "model.json") as src:
             model = baseline.load_model(src)
-        (tmp_path / "v1.json").write_text(reference_save_model_v1(model))
-        assert main(["predict", "--model", str(tmp_path / "v1.json"),
-                     "--pairs", str(fixture_dir / "test.csv"),
-                     "--nodes", str(artifacts / "nodes.clean.tsv"),
-                     "--output", str(tmp_path / "p.csv")]) == 0
-        assert (tmp_path / "p.csv").read_bytes() == (artifacts / "predictions.csv").read_bytes()
+        written = {}
+        for name, text in [("v1", reference_save_model_v1(model)),
+                           ("v2", reference_save_model_v2(model)),
+                           ("v3", (artifacts / "model.json").read_text())]:
+            (tmp_path / f"{name}.json").write_text(text)
+            assert main(["predict", "--model", str(tmp_path / f"{name}.json"),
+                         "--pairs", str(fixture_dir / "test.csv"),
+                         "--nodes", str(artifacts / "nodes.clean.tsv"),
+                         "--output", str(tmp_path / f"{name}.csv")]) == 0
+            written[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert written["v1"] == written["v2"] == written["v3"]
+        assert written["v3"] == (artifacts / "predictions.csv").read_bytes()
 
     def test_predictions_cover_all_pairs(self, artifacts):
         lines = (artifacts / "predictions.csv").read_text().splitlines()
@@ -617,42 +633,130 @@ def _with(part, key, value):
     return edit
 
 
-# case -> (edit turning a valid model payload into file text, exit code of `predict`)
+def _set(**items):
+    """An edit replacing top-level keys, then writing the JSON."""
+    return lambda payload: json.dumps({**payload, **items})
+
+
+def _b64(raw: bytes) -> str:
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+# The bad-model files hold a hash_bits 4 model: 20 slots, with the stored
+# weights at 0, 2, 5 and 19, the last slot.
+BAD_MODEL_CONFIG = dataclasses.asdict(baseline.TrainConfig(hash_bits=4))
+STORED = [0.5, -0.25, -0.0, 2.0]
+STORED_BYTES = struct.pack("<4d", *STORED)
+BAD_MODEL_PAYLOADS = {
+    "v1": {"format": baseline.MODEL_FORMAT_V1, "config": BAD_MODEL_CONFIG, "hash_bits": 4,
+           "weights": [0.5, 0.0, -0.25, 0.0, 0.0, -0.0] + [0.0] * 13 + [2.0]},
+    "v2": {"format": baseline.MODEL_FORMAT_V2, "config": BAD_MODEL_CONFIG,
+           "gaps": [0, 1, 2, 13], "weights": STORED},
+    "v3": {"format": baseline.MODEL_FORMAT, "layout": baseline.FEATURE_LAYOUT,
+           "config": BAD_MODEL_CONFIG, "gaps": [0, 1, 2, 13], "weights": _b64(STORED_BYTES)},
+}
+V3_WEIGHTS = BAD_MODEL_PAYLOADS["v3"]["weights"]
+
+# case -> (payload it edits, edit turning that payload into file text, exit code of `predict`)
 BAD_MODELS = {
-    "unchanged": (json.dumps, 0),
-    "int learning_rate": (_with("config", "learning_rate", 1), 0),  # JSON has one number type
-    "truncated json": (lambda p: json.dumps(p)[:100], 2),
-    "top-level list": (lambda p: json.dumps([p]), 2),
-    "list nested too deep": (lambda p: "[" * 100_000 + "]" * 100_000, 2),
-    "unknown config key": (_with("config", "bogus", 1), 3),
-    "no config": (lambda p: json.dumps({k: v for k, v in p.items() if k != "config"}), 3),
-    "string weight": (_with("weights", 3, "0.5"), 3),
-    "string epochs": (_with("config", "epochs", "3"), 3),
-    "bool epochs": (_with("config", "epochs", True), 3),
-    "zero max_tokens": (_with("config", "max_tokens", 0), 3),
-    "nan weight": (_with("weights", 0, float("nan")), 3),
-    "extra top-level key": (lambda p: json.dumps({**p, "hash_bits": 4}), 3),
-    "negative gap": (_with("gaps", 2, -1), 3),
-    "bool gap": (_with("gaps", 1, True), 3),
-    "float gap": (_with("gaps", 1, 1.0), 3),
-    "gap past the end": (_with("gaps", 3, 14), 3),
-    "gap of 2**70": (_with("gaps", 0, 2**70), 3),
-    "fewer gaps than weights": (lambda p: json.dumps({**p, "gaps": p["gaps"][:-1]}), 3),
+    "unchanged": ("v2", json.dumps, 0),
+    "int learning_rate": ("v2", _with("config", "learning_rate", 1), 0),  # JSON has one number type
+    "truncated json": ("v2", lambda p: json.dumps(p)[:100], 2),
+    "top-level list": ("v2", lambda p: json.dumps([p]), 2),
+    "list nested too deep": ("v2", lambda p: "[" * 100_000 + "]" * 100_000, 2),
+    "unknown config key": ("v2", _with("config", "bogus", 1), 3),
+    "no config": ("v2", lambda p: json.dumps({k: v for k, v in p.items() if k != "config"}), 3),
+    "string weight": ("v2", _with("weights", 3, "0.5"), 3),
+    "string epochs": ("v2", _with("config", "epochs", "3"), 3),
+    "bool epochs": ("v2", _with("config", "epochs", True), 3),
+    "zero max_tokens": ("v2", _with("config", "max_tokens", 0), 3),
+    "nan weight": ("v2", _with("weights", 0, float("nan")), 3),
+    "extra top-level key": ("v2", lambda p: json.dumps({**p, "hash_bits": 4}), 3),
+    "negative gap": ("v2", _with("gaps", 2, -1), 3),
+    "bool gap": ("v2", _with("gaps", 1, True), 3),
+    "float gap": ("v2", _with("gaps", 1, 1.0), 3),
+    "gap past the end": ("v2", _with("gaps", 3, 14), 3),
+    "gap of 2**70": ("v2", _with("gaps", 0, 2**70), 3),
+    "fewer gaps than weights": ("v2", lambda p: json.dumps({**p, "gaps": p["gaps"][:-1]}), 3),
+    "int of 5000 digits": ("v2", lambda p: json.dumps(p).replace('"seed": 0', '"seed": ' + "9" * 5000), 2),
+    "v1 unchanged": ("v1", json.dumps, 0),
+    "v1 hash_bits differs from config": ("v1", _set(hash_bits=5), 3),
+    "v1 float hash_bits": ("v1", _set(hash_bits=4.0), 3),
+    "v1 extra top-level key": ("v1", _set(gaps=[]), 3),
+    "v3 unchanged": ("v3", json.dumps, 0),
+    "v3 weights a list": ("v3", _set(weights=STORED), 3),
+    "v3 weights not ASCII": ("v3", _set(weights=V3_WEIGHTS[:-4] + "\u00e9" + V3_WEIGHTS[-3:]), 3),
+    "v3 whitespace in weights": ("v3", _set(weights=V3_WEIGHTS[:8] + " " + V3_WEIGHTS[8:]), 3),
+    "v3 newline after weights": ("v3", _set(weights=V3_WEIGHTS + "\n"), 3),
+    "v3 padding missing": ("v3", _set(weights=V3_WEIGHTS.rstrip("=")), 3),
+    "v3 padding doubled": ("v3", _set(weights=V3_WEIGHTS + "="), 3),
+    "v3 7 bytes": ("v3", _set(weights=_b64(STORED_BYTES[:7])), 3),
+    "v3 9 bytes": ("v3", _set(weights=_b64(STORED_BYTES[:8] + b"\0")), 3),
+    "v3 one weight fewer than gaps": ("v3", _set(weights=_b64(STORED_BYTES[:-8])), 3),
+    "v3 nan weight": ("v3", _set(weights=_b64(struct.pack("<4d", 0.5, math.nan, 1.0, 2.0))), 3),
+    "v3 inf weight": ("v3", _set(weights=_b64(struct.pack("<4d", 0.5, 1.0, 1.0, -math.inf))), 3),
+    "v3 gap past the end": ("v3", _set(gaps=[0, 1, 2, 14]), 3),
+    "v3 unknown layout": ("v3", _set(layout=baseline.FEATURE_LAYOUT + ";x"), 3),
+    "v3 no layout": ("v3", lambda p: json.dumps({k: v for k, v in p.items() if k != "layout"}), 3),
+    "v3 extra top-level key": ("v3", _set(hash_bits=4), 3),
+    "v3 format tag of a list": ("v3", _set(format=[baseline.MODEL_FORMAT]), 3),
 }
 
 
+def _predict_model(fixture_dir, tmp_path, text: bytes) -> tuple[int, str]:
+    """Run `predict` on a model file holding `text`: its exit code and stderr."""
+    model = tmp_path / "model.json"
+    model.write_bytes(text)
+    out = tmp_path / "p.csv"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(model),
+                     "--pairs", str(fixture_dir / "test.csv"),
+                     "--nodes", str(fixture_dir / "nodes.tsv"), "--output", str(out)])
+    assert out.exists() == (code == 0)
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("case", BAD_MODELS)
-def test_bad_model_file_fails_closed(case, fixture_dir, tmp_path, capsys):
-    edit, expected = BAD_MODELS[case]
-    cfg = baseline.TrainConfig(hash_bits=4)
-    # 20 slots; the spelled weights sit at 0, 2, 5 and 19, the last slot.
-    payload = {"format": baseline.MODEL_FORMAT, "config": dataclasses.asdict(cfg),
-               "gaps": [0, 1, 2, 13], "weights": [0.5, -0.25, -0.0, 2.0]}
-    (tmp_path / "model.json").write_text(edit(payload))
-    code = main(["predict", "--model", str(tmp_path / "model.json"),
-                 "--pairs", str(fixture_dir / "test.csv"),
-                 "--nodes", str(fixture_dir / "nodes.tsv"), "--output", str(tmp_path / "p.csv")])
-    err = capsys.readouterr().err
+def test_bad_model_file_fails_closed(case, fixture_dir, tmp_path):
+    version, edit, expected = BAD_MODELS[case]
+    code, err = _predict_model(fixture_dir, tmp_path, edit(copy.deepcopy(BAD_MODEL_PAYLOADS[version])).encode())
     assert code == expected, err
     assert "Traceback" not in err
-    assert (tmp_path / "p.csv").exists() == (code == 0)
+    assert code == 0 or "error [" in err
+
+
+def test_bad_model_payloads_hold_one_model():
+    """The v1, v2 and v3 payloads the cases edit are the same model."""
+    models = [baseline.load_model(io.StringIO(json.dumps(p))) for p in BAD_MODEL_PAYLOADS.values()]
+    assert len({m.weights.tobytes() for m in models}) == 1
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_model_file_fails_closed(data, fixture_dir, tmp_path):
+    """`predict` on arbitrary bytes, or on byte-level mutations of a valid
+    v3 file, exits 0, 2 or 3, never with a traceback. Half the mutations
+    land in the gaps and weights, the last sixth of the file."""
+    valid = json.dumps(BAD_MODEL_PAYLOADS["v3"]).encode()
+    if data.draw(st.booleans(), label="arbitrary bytes"):
+        text = data.draw(st.binary(max_size=300), label="bytes")
+    else:
+        text = bytearray(valid)
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            lo = data.draw(st.sampled_from([0, valid.index(b'"gaps"')]), label="from")
+            at = data.draw(st.integers(min(lo, len(text)), len(text)), label="at")
+            kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
+            byte = data.draw(st.binary(min_size=1, max_size=1), label="byte")
+            if kind == "insert" or at == len(text):
+                text[at:at] = byte
+            elif kind == "replace":
+                text[at:at + 1] = byte
+            else:
+                del text[at]
+        text = bytes(text)
+    code, err = _predict_model(fixture_dir, tmp_path, text)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
