@@ -6,16 +6,16 @@ block: overlap count, Jaccard similarity, normalized length difference,
 bias. Hashing is 64-bit FNV-1a over UTF-8 bytes, masked to hash_bits, so
 feature indices are stable across runs and platforms.
 
-Pairs are featurized into batches of CSR rows (`FeatureRows`). Each
-featurize or predict call hashes every distinct token tuple (node) of
-its pairs once, into a node table; a pair then costs only the gather of
-its two nodes' slot streams, its shared tokens and the row dedup. A row
-lists its slots in first-seen order over premise unigrams, premise
-bigrams, hypothesis unigrams, hypothesis bigrams and the sorted shared
-tokens, each slot once with its count, then the dense block. Dot
-products and the gradient are `np.bincount` sums, which add their terms
-in array order, so they equal a per-feature loop over each row term for
-term (`tests/oracles.py` holds that loop), whatever FEATURIZE_CHUNK is.
+Pairs are featurized into CSR rows (`FeatureRows`) from one node table
+per run (`NodeTable`), which hashes each node of the run's token table
+once; a pair costs only the gather of its two nodes' slot streams, its
+shared tokens and the row dedup. A row lists its slots in first-seen
+order over premise unigrams, premise bigrams, hypothesis unigrams,
+hypothesis bigrams and the sorted shared tokens, each slot once with its
+count, then the dense block. Dot products and the gradient are
+`np.bincount` sums, which add their terms in array order, so they equal
+a per-feature loop over each row term for term (`tests/oracles.py` holds
+that loop), whatever FEATURIZE_CHUNK is.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, asdict
-from itertools import chain, count
-from typing import IO, Iterable, Sequence, get_type_hints
+from itertools import chain
+from typing import IO, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
 from .errors import NumericError, ParseError, ValidationError
-from .pairs import SentencePair
+from .pairs import SentencePair, Tokens
 
 DENSE_BLOCK_SIZE = 4  # overlap, jaccard, length diff, bias
 # Pairs whose rows are laid out together. Hashing is per node, once per
-# call, so a chunk bounds only the row-layout temporaries.
+# node table, so a chunk bounds only the row-layout temporaries.
 FEATURIZE_CHUNK = 64
 # Hash keys folded together, which bounds the fold's uint64 temporaries.
 _FOLD_BLOCK = 1 << 14
@@ -127,13 +127,8 @@ class BaselineModel:
 
     @classmethod
     def zeros(cls, config: TrainConfig) -> "BaselineModel":
-        dim = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
-        return cls(
-            config=config,
-            weights=np.zeros(dim),
-            m=np.zeros(dim),
-            v=np.zeros(dim),
-        )
+        weights, m, v = _zero_vectors(config.hash_bits, 3)
+        return cls(config=config, weights=weights, m=m, v=v)
 
     @property
     def dim(self) -> int:
@@ -142,6 +137,16 @@ class BaselineModel:
     @property
     def bias_index(self) -> int:
         return self.dim - 1
+
+
+def _zero_vectors(hash_bits: int, n: int) -> list[np.ndarray]:
+    """n zero vectors of 2^hash_bits + 4 slots, or a ValidationError if the host cannot map them."""
+    dim = (1 << hash_bits) + DENSE_BLOCK_SIZE
+    try:
+        return [np.zeros(dim) for _ in range(n)]
+    except MemoryError:
+        raise ValidationError(f"hash_bits {hash_bits} needs {n * 8 * dim:,} bytes for "
+                              f"{n} weight vectors, more than this host can allocate") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,47 +203,30 @@ def _fnv_fold(states: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     return out
 
 
-class _NodeTable:
-    """The distinct token tuples (nodes) of a pair list, each hashed once.
+class NodeTable:
+    """Every row (node) of a token table, hashed once.
 
-    Pairs that share a node share its tuple, and equal tuples are one
-    node. Per node the table keeps its masked P and H streams, laid out
-    alike as its unigram slots then its bigram slots, and its distinct
-    token ids, ascending, with their counts. Slots and ids are int32
-    (hash_bits <= 30). `rows` lays out the rows of a run of pairs from
-    these alone.
+    Per row the table keeps its masked P and H streams, laid out alike as
+    its unigram slots then its bigram slots, and its distinct token ids
+    (renumbered 0..V-1 in first-seen order), ascending, with their
+    counts, all int32 (hash_bits <= 30). `rows` lays out the feature rows
+    of pairs from these alone.
     """
 
-    def __init__(self, pairs: Sequence[SentencePair], hash_bits: int):
+    def __init__(self, tokens: Tokens, hash_bits: int):
         self.hash_bits = hash_bits
-        index: dict[tuple[str, ...], int] = {}
-        self.pair_nodes = np.fromiter(
-            (index.setdefault(side, len(index))
-             for sp in pairs for side in (sp.premise_tokens, sp.hypothesis_tokens)),
-            dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
-        nodes = list(index)
-        del index
-        self.lens = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
-        n_positions = int(self.lens.sum())
-        # One pass: each position gets the position where its token was
-        # first seen; numbering those positions in order gives the ids.
-        vocab: dict[str, int] = {}
-        seen_at = np.fromiter(map(vocab.setdefault, chain.from_iterable(nodes), count()),
-                              dtype=np.int64, count=n_positions)
-        self.tokens = list(vocab)  # token id -> token
-        self.radix = max(len(vocab), 1)
-        del vocab, nodes
-        is_first = seen_at == np.arange(n_positions)
-        ids = (np.cumsum(is_first, dtype=np.int32) - 1)[seen_at]
-        del seen_at, is_first
+        self.words = list(tokens.vocab)  # token id -> token
+        self.radix = max(len(self.words), 1)
+        self.lens = np.fromiter(map(len, tokens.ids), dtype=np.int64, count=len(tokens.ids))
+        ids = tokens.ranks()[np.concatenate(tokens.ids or [np.zeros(0, dtype=np.int32)])]
         starts = np.cumsum(self.lens) - self.lens
-        # A position heads a bigram unless it is the last of its node.
+        # A position heads a bigram unless it is the last of its row.
         is_head = np.ones(ids.shape[0], dtype=bool)
         is_head[(starts + self.lens - 1)[self.lens > 0]] = False
         bigrams, which = np.unique(
             (ids[:-1].astype(np.int64) * self.radix + ids[1:])[is_head[:-1]],
             return_inverse=True)
-        unigram, bigram = _hash_keys(self.tokens, bigrams, self.radix, hash_bits)
+        unigram, bigram = _hash_keys(self.words, bigrams, self.radix, hash_bits)
         del bigrams
         self.shared_slots = unigram[2]
 
@@ -258,10 +246,10 @@ class _NodeTable:
         self.set_lens = np.bincount(keys // self.radix, minlength=self.lens.shape[0])
         self.set_starts = np.cumsum(self.set_lens) - self.set_lens
 
-    def rows(self, lo: int, hi: int) -> FeatureRows:
-        """The rows of pairs lo..hi-1: the premise node's P stream, the
-        hypothesis node's H stream, the sorted shared tokens, deduplicated."""
-        premise, hypothesis = self.pair_nodes[lo:hi].T
+    def rows(self, premise: np.ndarray, hypothesis: np.ndarray) -> FeatureRows:
+        """The feature rows of the pairs on these premise and hypothesis
+        rows: the premise's P stream, the hypothesis's H stream, the sorted
+        shared tokens, deduplicated."""
         n = premise.shape[0]
         p_rows, p_pick = self._set_entries(premise)
         h_rows, h_pick = self._set_entries(hypothesis)
@@ -275,7 +263,7 @@ class _NodeTable:
         # sums, does not depend on the interpreter's string hash seed. Only
         # the distinct shared tokens are ranked.
         distinct, inverse = np.unique(shared, return_inverse=True)
-        words = [self.tokens[i] for i in distinct.tolist()]
+        words = [self.words[i] for i in distinct.tolist()]
         rank = np.empty(len(words), dtype=np.int64)
         rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
         by_row = np.argsort(shared_rows * len(words) + rank[inverse])
@@ -372,16 +360,25 @@ def _dedup_rows(stream: np.ndarray, stream_rows: np.ndarray, dense: np.ndarray,
     return FeatureRows(indptr, indices, values)
 
 
-def featurize(pairs: Sequence[SentencePair], hash_bits: int) -> FeatureRows:
-    """One CSR row per pair: each node hashed once, and the rows laid out
-    FEATURIZE_CHUNK pairs at a time."""
+def _check_hash_bits(table: NodeTable, hash_bits: int) -> None:
+    if table.hash_bits != hash_bits:
+        raise ValidationError(
+            f"node table hashed at hash_bits {table.hash_bits}, model at {hash_bits}")
+
+
+def _chunks(pairs: Sequence[SentencePair], table: NodeTable) -> Iterator[FeatureRows]:
+    """The feature rows of the pairs, laid out FEATURIZE_CHUNK pairs at a time from `table`."""
+    nodes = np.fromiter((row for sp in pairs for row in (sp.premise, sp.hypothesis)),
+                        dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+    for start in range(0, len(pairs), FEATURIZE_CHUNK):
+        yield table.rows(*nodes[start : start + FEATURIZE_CHUNK].T)
+
+
+def featurize(pairs: Sequence[SentencePair], table: NodeTable) -> FeatureRows:
+    """One CSR row per pair."""
     if not pairs:
         return FeatureRows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    table = _NodeTable(pairs, hash_bits)
-    return FeatureRows.concat([
-        table.rows(start, start + FEATURIZE_CHUNK)
-        for start in range(0, len(pairs), FEATURIZE_CHUNK)
-    ])
+    return FeatureRows.concat(list(_chunks(pairs, table)))
 
 
 _SIGMOID_LO = 5e-324  # smallest positive float
@@ -478,7 +475,8 @@ def adamw_step(model: BaselineModel, gradient: np.ndarray) -> BaselineModel:
     return model
 
 
-def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineModel:
+def train(examples: Sequence[SentencePair], config: TrainConfig,
+          table: NodeTable) -> BaselineModel:
     """Mini-batch AdamW on logistic loss; deterministic for a fixed seed.
 
     The loop runs over the slots that some row touches, renumbered in
@@ -487,14 +485,14 @@ def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineMode
     slot's terms in row order under any renumbering, so the model is the
     dense loop's bit for bit (`tests/oracles.py` holds that loop).
     """
-    examples = list(examples)
     if not examples:
         raise ValidationError("cannot train on an empty example set")
     for sp in examples:
         if sp.label is None:
             raise ValidationError(f"pair {sp.pair_id} is unlabeled")
 
-    rows = featurize(examples, config.hash_bits)
+    _check_hash_bits(table, config.hash_bits)
+    rows = featurize(examples, table)
     labels = [sp.label for sp in examples]
     model = BaselineModel.zeros(config)
     touched = np.zeros(model.dim, dtype=bool)
@@ -522,18 +520,15 @@ def train(examples: Iterable[SentencePair], config: TrainConfig) -> BaselineMode
     return model
 
 
-def predict(model: BaselineModel, pairs: Sequence[SentencePair]) -> list[Prediction]:
-    """Score the pairs in order, one chunk of rows at a time from one node table."""
+def predict(model: BaselineModel, pairs: Sequence[SentencePair],
+            table: NodeTable) -> list[Prediction]:
+    """Score the pairs in order, one chunk of rows at a time from `table`."""
+    _check_hash_bits(table, model.config.hash_bits)
     threshold = model.config.decision_threshold
-    table = _NodeTable(pairs, model.config.hash_bits)
-    predictions = []
-    for start in range(0, len(pairs), FEATURIZE_CHUNK):
-        chunk = pairs[start : start + FEATURIZE_CHUNK]
-        rows = table.rows(start, start + FEATURIZE_CHUNK)
-        for sp, z in zip(chunk, row_dots(model.weights, rows)):
-            p = sigmoid(z)
-            predictions.append(Prediction(sp.pair_id, p, 1 if p >= threshold else 0))
-    return predictions
+    probabilities = map(sigmoid, chain.from_iterable(
+        row_dots(model.weights, rows) for rows in _chunks(pairs, table)))
+    return [Prediction(sp.pair_id, p, 1 if p >= threshold else 0)
+            for sp, p in zip(pairs, probabilities)]
 
 
 MODEL_FORMAT = "wikilink-baseline-v3"
@@ -581,19 +576,16 @@ def _decode_weights(text) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8")
 
 
-def _scatter(gaps, values: np.ndarray, dim: int) -> np.ndarray:
-    """The dense vector a v2 or v3 file's `gaps` and stored weights give."""
+def _stored_slots(gaps, n_stored: int, dim: int) -> np.ndarray:
+    """The slots of a v2 or v3 file's stored weights, which its `gaps` give."""
     if not isinstance(gaps, list) or not set(map(type, gaps)) <= {int} or min(gaps, default=0) < 0:
         raise ValidationError("model gaps must be a list of non-negative integers")
-    if len(gaps) != values.shape[0]:
-        raise ValidationError(
-            f"model has {len(gaps)} gaps but {values.shape[0]} stored weights")
+    if len(gaps) != n_stored:
+        raise ValidationError(f"model has {len(gaps)} gaps but {n_stored} stored weights")
     # Summed as Python ints, so no gap can overflow before the bound is checked.
     if sum(gaps) + len(gaps) > dim:
         raise ValidationError(f"model gaps place a weight past slot {dim - 1}")
-    weights = np.zeros(dim)
-    weights[np.cumsum(np.asarray(gaps, dtype=np.int64) + 1) - 1] = values
-    return weights
+    return np.cumsum(np.asarray(gaps, dtype=np.int64) + 1) - 1
 
 
 def load_model(stream: IO) -> BaselineModel:
@@ -609,7 +601,8 @@ def load_model(stream: IO) -> BaselineModel:
     hash_bits gives. A v2 or v3 file must also hold as many gaps as
     stored weights, each gap a non-negative JSON int, and no weight past
     the last slot; a v3 file's weights must be the canonical base64 of a
-    whole number of float64 values.
+    whole number of float64 values. Weight vectors the host cannot
+    allocate at the config's hash_bits are a ValidationError too.
     """
     try:
         payload = json.load(stream)
@@ -650,14 +643,18 @@ def load_model(stream: IO) -> BaselineModel:
         weights = np.asarray(weights, dtype=float)
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad model: {exc}") from None
-    expected = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
-    if version != MODEL_FORMAT_V1:
-        weights = _scatter(payload["gaps"], weights, expected)
-    if weights.shape[0] != expected:
-        raise ValidationError(
-            f"weight vector length {weights.shape[0]} does not match hash_bits {config.hash_bits}"
-        )
+    # Only stored values can be non-finite: checked before any dense vector exists.
     if not np.isfinite(weights).all():
         raise ValidationError("model weights must be finite")
-    # np.zeros maps its pages lazily, where zeros_like writes them: predict never reads m or v.
-    return BaselineModel(config=config, weights=weights, m=np.zeros(expected), v=np.zeros(expected))
+    expected = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
+    if version != MODEL_FORMAT_V1:
+        slots = _stored_slots(payload["gaps"], weights.shape[0], expected)
+    elif weights.shape[0] == expected:
+        slots = slice(None)  # v1 stores every slot
+    else:
+        raise ValidationError(f"weight vector length {weights.shape[0]} does not match "
+                              f"hash_bits {config.hash_bits}")
+    # Lazily mapped zeros: predict never reads m or v, so their pages stay unmapped.
+    dense, m, v = _zero_vectors(config.hash_bits, 3)
+    dense[slots] = weights
+    return BaselineModel(config=config, weights=dense, m=m, v=v)

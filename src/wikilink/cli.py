@@ -147,24 +147,19 @@ def _clean_nodes(given: dict, in_path: str | None, out_path: str | None,
 
 def _sentence_pairs(given: dict, pairs_path: str,
                     nodes: str | dict[int, dataset.NodeRecord], labeled: bool,
-                    max_tokens: int, tokens: dict[int, tuple[str, ...]] | None = None,
-                    ) -> list[pairs_mod.SentencePair]:
+                    tokens: pairs_mod.Tokens) -> list[pairs_mod.SentencePair]:
     """Join a pairs file against `nodes` (a node table, or a nodes file path)
-    and build each sentence pair once, tokenizing each node once. `tokens`
-    (node id -> token tuple) may be passed to several calls under one
-    max_tokens, so they share it."""
+    and build each sentence pair once, over the run's token table `tokens`."""
     if not isinstance(nodes, dict):
         with open_input(nodes) as src:
             nodes = dataset.build_node_table(dataset.parse_nodes(src))
-    if tokens is None:
-        tokens = {}
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
             dataset.parse_pairs(src, labeled=labeled), nodes,
             strict=given["run"].get("strict_join", True), counters=counters,
         )
-        built = [pairs_mod.build_pair(pair, n1.text, n2.text, max_tokens, tokens)
+        built = [pairs_mod.build_pair(pair, n1.text, n2.text, tokens)
                  for pair, n1, n2 in joined]
     log(f"pairs: {len(built)} from {pairs_path}" + (
         f" ({counters.skipped_joins} skipped)" if counters.skipped_joins else ""))
@@ -172,9 +167,9 @@ def _sentence_pairs(given: dict, pairs_path: str,
 
 
 def _train(config: baseline.TrainConfig, examples: list[pairs_mod.SentencePair],
-           model_path: str) -> baseline.BaselineModel:
+           table: baseline.NodeTable, model_path: str) -> baseline.BaselineModel:
     log(f"train: {len(examples)} examples")
-    model = baseline.train(examples, config)
+    model = baseline.train(examples, config, table)
     with atomic_output(model_path) as dst:
         baseline.save_model(model, dst)
     log(f"train: model written to {model_path}")
@@ -182,8 +177,8 @@ def _train(config: baseline.TrainConfig, examples: list[pairs_mod.SentencePair],
 
 
 def _predict(model: baseline.BaselineModel, examples: list[pairs_mod.SentencePair],
-             out_path: str | None) -> list[baseline.Prediction]:
-    predictions = baseline.predict(model, examples)
+             table: baseline.NodeTable, out_path: str | None) -> list[baseline.Prediction]:
+    predictions = baseline.predict(model, examples, table)
     with atomic_output(out_path) as dst:
         evaluate.write_predictions(predictions, dst)
     log(f"predict: {len(predictions)} predictions")
@@ -216,19 +211,19 @@ def cmd_stats(args: argparse.Namespace, given: dict) -> int:
 
 
 def cmd_prepare(args: argparse.Namespace, given: dict) -> int:
-    max_tokens = baseline.TrainConfig(**given["train"]).max_tokens
-    built = _sentence_pairs(given, args.pairs, args.nodes, labeled=not args.unlabeled,
-                            max_tokens=max_tokens)
+    tokens = pairs_mod.Tokens(baseline.TrainConfig(**given["train"]).max_tokens)
+    built = _sentence_pairs(given, args.pairs, args.nodes, not args.unlabeled, tokens)
     with atomic_output(args.output) as dst:
-        pairs_mod.write_prepared(built, dst)
+        pairs_mod.write_prepared(built, tokens, dst)
     return 0
 
 
 def cmd_train(args: argparse.Namespace, given: dict) -> int:
     config = baseline.TrainConfig(**given["train"])
-    examples = _sentence_pairs(given, args.pairs, args.nodes, labeled=True,
-                               max_tokens=config.max_tokens)
-    _train(config, examples, _model_path(given["paths"]))
+    tokens = pairs_mod.Tokens(config.max_tokens)
+    examples = _sentence_pairs(given, args.pairs, args.nodes, True, tokens)
+    _train(config, examples, baseline.NodeTable(tokens, config.hash_bits),
+           _model_path(given["paths"]))
     return 0
 
 
@@ -242,9 +237,9 @@ def cmd_predict(args: argparse.Namespace, given: dict) -> int:
         if value != trained:
             raise ValidationError(
                 f"{key} {value} (flag or [train]) differs from the model's {key} {trained}")
-    examples = _sentence_pairs(given, args.pairs, args.nodes, labeled=args.labeled,
-                               max_tokens=model.config.max_tokens)
-    _predict(model, examples, args.output)
+    tokens = pairs_mod.Tokens(model.config.max_tokens)
+    examples = _sentence_pairs(given, args.pairs, args.nodes, args.labeled, tokens)
+    _predict(model, examples, baseline.NodeTable(tokens, model.config.hash_bits), args.output)
     return 0
 
 
@@ -274,9 +269,11 @@ def cmd_submit(args: argparse.Namespace, given: dict) -> int:
 def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
     """Clean, prepare, train, predict and submit, parsing each input once.
 
-    `prepared.tsv` is written from the very list the model trains on. The
-    model and predictions are used from memory; the JSON float round trip
-    is exact, so this matches reading them back.
+    Both pairs files are read, into one token table, before anything past
+    `nodes.clean.tsv` is written; one node table over it serves training
+    and prediction. `prepared.tsv` is written from the very list the model
+    trains on. The model and predictions are used from memory; the JSON
+    float round trip is exact, so this matches reading them back.
     """
     paths = given["paths"]
     for name in ("nodes", "train_pairs", "test_pairs"):
@@ -286,20 +283,16 @@ def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
             raise FileNotFoundError(f"{name} path does not exist: {paths[name]}")
     out = Path(paths.get("output_dir", "out"))
     config = baseline.TrainConfig(**given["train"])
-    table = _clean_nodes(given, paths["nodes"], str(out / "nodes.clean.tsv"), want_report=True)
-    # One token cache for both files: both are cut at config.max_tokens,
-    # so a node in both is tokenized once and its pairs share one tuple.
-    tokens: dict[int, tuple[str, ...]] = {}
-    examples = _sentence_pairs(given, paths["train_pairs"], table, labeled=True,
-                               max_tokens=config.max_tokens, tokens=tokens)
+    nodes = _clean_nodes(given, paths["nodes"], str(out / "nodes.clean.tsv"), want_report=True)
+    tokens = pairs_mod.Tokens(config.max_tokens)
+    examples = _sentence_pairs(given, paths["train_pairs"], nodes, True, tokens)
+    tests = _sentence_pairs(given, paths["test_pairs"], nodes, False, tokens)
     with atomic_output(str(out / "prepared.tsv")) as dst:
-        pairs_mod.write_prepared(examples, dst)
-    model = _train(config, examples, _model_path(paths))
-    # Built only after training, so test tokens never sit beside the
-    # featurized training set.
-    tests = _sentence_pairs(given, paths["test_pairs"], table, labeled=False,
-                            max_tokens=config.max_tokens, tokens=tokens)
-    _submit(_predict(model, tests, str(out / "predictions.csv")), str(out / "submission.csv"))
+        pairs_mod.write_prepared(examples, tokens, dst)
+    table = baseline.NodeTable(tokens, config.hash_bits)
+    model = _train(config, examples, table, _model_path(paths))
+    _submit(_predict(model, tests, table, str(out / "predictions.csv")),
+            str(out / "submission.csv"))
     return 0
 
 

@@ -1,27 +1,24 @@
 """Premise/hypothesis construction from joined node texts.
 
 id1's cleaned text becomes the premise, id2's the hypothesis. Each side
-is whitespace-tokenized and head-truncated to max_tokens independently.
+is whitespace-tokenized and head-truncated to max_tokens independently,
+once per node and run, into the run's token table (`Tokens`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import count
+from typing import IO, NamedTuple, Sequence
+
+import numpy as np
 
 from .dataset import PairRecord
+from .errors import ValidationError
 from .textclean import WHITESPACE_CHARS
 
 _WS_SPLIT = re.compile("[" + re.escape(WHITESPACE_CHARS) + "]+")
-
-
-@dataclass(frozen=True)
-class SentencePair:
-    pair_id: str
-    premise_tokens: tuple[str, ...]
-    hypothesis_tokens: tuple[str, ...]
-    label: int | None = None
+_MAX_ID = np.iinfo(np.int32).max
 
 
 def tokenize(text: str, max_tokens: int) -> tuple[str, ...]:
@@ -30,41 +27,75 @@ def tokenize(text: str, max_tokens: int) -> tuple[str, ...]:
     return tuple([t for t in _WS_SPLIT.split(text, max_tokens + 1) if t][:max_tokens])
 
 
-def build_pair(
-    pair: PairRecord,
-    premise_text: str,
-    hypothesis_text: str,
-    max_tokens: int,
-    tokens: dict[int, tuple[str, ...]] | None = None,
-) -> SentencePair:
-    """The sentence pair of `pair`, whose node texts are given.
+class Tokens:
+    """The run's token table: one vocabulary, and each node's tokens, cut at
+    max_tokens, as one int32 array of token ids (a row). A token's id is
+    the run position where it was first seen, so ids are unique but not
+    consecutive, and a row maps its tokens in one `dict.setdefault` pass."""
 
-    `tokens` maps a node id to its token tuple under this max_tokens. A
-    caller that passes one dict for all the pairs of a file tokenizes each
-    node once, and pairs that share a node share its tuple.
-    """
-    if tokens is None:
-        tokens = {}
-    for node_id, text in ((pair.id1, premise_text), (pair.id2, hypothesis_text)):
-        if node_id not in tokens:
-            tokens[node_id] = tokenize(text, max_tokens)
-    return SentencePair(
-        pair_id=pair.pair_id,
-        premise_tokens=tokens[pair.id1],
-        hypothesis_tokens=tokens[pair.id2],
-        label=pair.label,
-    )
+    def __init__(self, max_tokens: int):
+        self.max_tokens = max_tokens
+        self.vocab: dict[str, int] = {}  # token -> id, in first-seen order
+        self.rows: dict[int, int] = {}   # node id -> row
+        self.ids: list[np.ndarray] = []  # row -> its token ids
+        self.positions = 0               # tokens held over all rows
+
+    def row(self, node_id: int, text: str) -> int:
+        """The row of node `node_id`, whose text is `text`; tokenized on first use."""
+        if node_id not in self.rows:
+            self.rows[node_id] = self.append(tokenize(text, self.max_tokens))
+        return self.rows[node_id]
+
+    def append(self, tokens: Sequence[str]) -> int:
+        """Add a row holding `tokens` as they are, and return it."""
+        if self.positions + len(tokens) > _MAX_ID:
+            raise ValidationError(f"more than {_MAX_ID} tokens in one run")
+        self.ids.append(np.fromiter(map(self.vocab.setdefault, tokens, count(self.positions)),
+                                    dtype=np.int32, count=len(tokens)))
+        self.positions += len(tokens)
+        return len(self.ids) - 1
+
+    def ranks(self) -> np.ndarray:
+        """Token id -> the token's place in the vocabulary (0..V-1), as a lookup array."""
+        ranks = np.zeros(self.positions, dtype=np.int32)
+        ranks[np.fromiter(self.vocab.values(), dtype=np.int64)] = np.arange(len(self.vocab))
+        return ranks
 
 
-def write_prepared(pairs: Iterable[SentencePair], stream: IO) -> int:
-    """One record per line: pair_id, label or `-`, premise, hypothesis (tabs)."""
-    n = 0
+class SentencePair(NamedTuple):
+    pair_id: str
+    premise: int     # row of id1 in `tokens`
+    hypothesis: int  # row of id2 in `tokens`
+    label: int | None
+    tokens: Tokens
+
+    @property
+    def premise_tokens(self) -> np.ndarray:
+        """The premise's token ids: one array for every pair on that node."""
+        return self.tokens.ids[self.premise]
+
+    @property
+    def hypothesis_tokens(self) -> np.ndarray:
+        return self.tokens.ids[self.hypothesis]
+
+
+def build_pair(pair: PairRecord, premise_text: str, hypothesis_text: str,
+               tokens: Tokens) -> SentencePair:
+    """The sentence pair of `pair`, whose node texts are given, over the
+    token table `tokens`: a node already in the table is not tokenized again."""
+    return SentencePair(pair.pair_id, tokens.row(pair.id1, premise_text),
+                        tokens.row(pair.id2, hypothesis_text), pair.label, tokens)
+
+
+def write_prepared(pairs: Sequence[SentencePair], tokens: Tokens, stream: IO) -> int:
+    """One record per line: pair_id, label or `-`, premise, hypothesis
+    (tabs); each side is its node's tokens in `tokens`, joined by spaces."""
+    words, ranks = list(tokens.vocab), tokens.ranks()
+    sides: dict[int, str] = {}
     for sp in pairs:
+        for row in (sp.premise, sp.hypothesis):
+            if row not in sides:
+                sides[row] = " ".join(map(words.__getitem__, ranks[tokens.ids[row]].tolist()))
         label = "-" if sp.label is None else str(sp.label)
-        stream.write(
-            f"{sp.pair_id}\t{label}\t{' '.join(sp.premise_tokens)}"
-            f"\t{' '.join(sp.hypothesis_tokens)}\n"
-        )
-        n += 1
-    return n
-
+        stream.write(f"{sp.pair_id}\t{label}\t{sides[sp.premise]}\t{sides[sp.hypothesis]}\n")
+    return len(pairs)

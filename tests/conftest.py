@@ -20,15 +20,36 @@ def fixture_manifest() -> dict:
         return json.load(f)
 
 
+@pytest.fixture
+def limit_zeros(monkeypatch):
+    """Call with n: from then on np.zeros raises MemoryError past n
+    elements, as a host that cannot map the vector does. No test needs
+    to allocate the 2^30 slots of hash_bits 30 to see it fail."""
+    import numpy as np
+
+    zeros = np.zeros
+
+    def limit(n):
+        def limited(shape, *args, **kwargs):
+            if np.prod(shape) > n:
+                raise MemoryError(f"cannot allocate {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", limited)
+
+    return limit
+
+
 @pytest.fixture(scope="session")
 def fixture_sentence_pairs():
-    """The bundled 200-pair fixture, cleaned and built into SentencePairs."""
+    """The bundled 200-pair training file, cleaned and tokenized, as `TuplePair`s."""
+    from oracles import TuplePair
     from wikilink import baseline, dataset, pairs, textclean
 
     with open(FIXTURE_DIR / "nodes.tsv") as f:
         table = dataset.build_node_table(dataset.parse_nodes(f))
-    cleaned = {i: textclean.clean(n.text)[0] for i, n in table.items()}
-    with open(FIXTURE_DIR / "train.csv") as f:
-        records = list(dataset.parse_pairs(f, labeled=True))
     budget = baseline.TrainConfig().max_tokens
-    return [pairs.build_pair(p, cleaned[p.id1], cleaned[p.id2], budget) for p in records]
+    tokens = {i: pairs.tokenize(textclean.clean(n.text)[0], budget) for i, n in table.items()}
+    with open(FIXTURE_DIR / "train.csv") as f:
+        return [TuplePair(p.pair_id, tokens[p.id1], tokens[p.id2], p.label)
+                for p in dataset.parse_pairs(f, labeled=True)]

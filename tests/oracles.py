@@ -13,7 +13,9 @@ the library's array code must match bit for bit; the whitespace
 collapse is a regex over maximal runs where the library splits on
 spaces; the tokenizer splits the whole text where the library stops
 after the token budget. The pairs-CSV writer lives here because only the
-tests write pairs files.
+tests write pairs files. The oracles take a pair as token tuples
+(`TuplePair`); `table_pairs` turns such pairs into the library's, over
+one token table.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 import re
 import struct
 from dataclasses import asdict
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from wikilink.baseline import (
     MODEL_FORMAT_V2,
     BaselineModel,
     FeatureRows,
+    NodeTable,
     adamw_step,
     featurize,
     fnv1a_64,
@@ -43,7 +47,7 @@ from wikilink.baseline import (
 )
 from wikilink.dataset import LABELED_HEADER, UNLABELED_HEADER, PairRecord
 from wikilink.errors import ValidationError
-from wikilink.pairs import SentencePair
+from wikilink.pairs import SentencePair, Tokens
 from wikilink.textclean import DEFAULT_PUNCTUATION, WHITESPACE_CHARS
 
 
@@ -181,7 +185,31 @@ def reference_tokenize(text: str) -> list[str]:
     return [t for t in re.split("[" + re.escape(WHITESPACE_CHARS) + "]+", text) if t]
 
 
-def reference_featurize(pair: SentencePair, hash_bits: int) -> dict[int, float]:
+class TuplePair(NamedTuple):
+    """A sentence pair with its sides as token tuples."""
+    pair_id: str
+    premise_tokens: tuple[str, ...]
+    hypothesis_tokens: tuple[str, ...]
+    label: int | None = None
+
+
+def table_pairs(items: Sequence[TuplePair]) -> tuple[Tokens, list[SentencePair]]:
+    """One token table holding each distinct side of `items` as a row,
+    tokens as they are, and the items as pairs over it."""
+    tokens = Tokens(max_tokens=1)  # rows are appended whole, never cut
+    rows: dict[tuple[str, ...], int] = {}
+
+    def row(side):
+        if side not in rows:
+            rows[side] = tokens.append(side)
+        return rows[side]
+
+    return tokens, [SentencePair(it.pair_id, row(tuple(it.premise_tokens)),
+                                 row(tuple(it.hypothesis_tokens)), it.label, tokens)
+                    for it in items]
+
+
+def reference_featurize(pair: TuplePair, hash_bits: int) -> dict[int, float]:
     """Sparse index -> value map, one FNV-1a call per key; the dense block
     lives past the hashed slots."""
     features: dict[int, float] = {}
@@ -257,9 +285,10 @@ def dense_gradient(gradient: dict[int, float], dim: int) -> np.ndarray:
     return dense
 
 
-def reference_train(examples: list[SentencePair], config) -> BaselineModel:
+def reference_train(examples: list[TuplePair], config) -> BaselineModel:
     """Mini-batch AdamW over the whole 2^hash_bits + 4 weight vector."""
-    rows = featurize(examples, config.hash_bits)
+    tokens, pairs = table_pairs(examples)
+    rows = featurize(pairs, NodeTable(tokens, config.hash_bits))
     labels = [sp.label for sp in examples]
     model = BaselineModel.zeros(config)
     rng = random.Random(config.seed)

@@ -15,6 +15,7 @@ from wikilink.baseline import (
     Prediction,
     TrainConfig,
     FEATURIZE_CHUNK,
+    NodeTable,
     adamw_step,
     featurize,
     fnv1a_64,
@@ -25,10 +26,13 @@ from wikilink.baseline import (
     sigmoid,
     train,
 )
+from wikilink.dataset import PairRecord
 from wikilink.errors import NumericError, ValidationError
-from wikilink.pairs import SentencePair
+from wikilink.pairs import Tokens, build_pair, tokenize
+from wikilink.textclean import WHITESPACE_CHARS
 
 from oracles import (
+    TuplePair,
     dense_gradient,
     numeric_gradient,
     reference_adamw_arrays,
@@ -42,16 +46,36 @@ from oracles import (
     row_items,
     rows_from_dicts,
     scalar_adamw_trace,
+    table_pairs,
 )
 
 
 def pair(premise, hypothesis, label=None, pair_id="p"):
-    return SentencePair(pair_id, tuple(premise), tuple(hypothesis), label)
+    return TuplePair(pair_id, tuple(premise), tuple(hypothesis), label)
+
+
+def over_table(items, hash_bits):
+    """The tuple pairs as the library's pairs, and the node table of their token table."""
+    tokens, pairs = table_pairs(items)
+    return pairs, NodeTable(tokens, hash_bits)
+
+
+def featurize_items(items, hash_bits):
+    return featurize(*over_table(items, hash_bits))
+
+
+def train_items(items, config):
+    pairs, table = over_table(items, config.hash_bits)
+    return train(pairs, config, table)
+
+
+def predict_items(model, items):
+    return predict(model, *over_table(items, model.config.hash_bits))
 
 
 def features(sp, hash_bits):
     """The one row featurize gives for sp, as an index -> value dict."""
-    return dict(row_items(featurize([sp], hash_bits), 0))
+    return dict(row_items(featurize_items([sp], hash_bits), 0))
 
 
 def loss_and_gradient(weights, batch):
@@ -120,7 +144,7 @@ class TestBatchesMatchScalarOracle:
     def test_rows_gradient_and_probabilities(self, distinct, n, hash_bits, seed):
         # Cycling a few pairs out to n rows makes the batch span chunk boundaries.
         pairs = [pair(*distinct[i % len(distinct)], pair_id=f"p{i}") for i in range(n)]
-        rows = featurize(pairs, hash_bits)
+        rows = featurize_items(pairs, hash_bits)
         oracle = [reference_featurize(sp, hash_bits) for sp in pairs]
         assert len(rows) == n
         for r, f in enumerate(oracle):
@@ -136,7 +160,7 @@ class TestBatchesMatchScalarOracle:
 
         model = BaselineModel.zeros(TrainConfig(hash_bits=hash_bits))
         model.weights[:] = weights
-        assert [p.probability for p in predict(model, pairs)] == [
+        assert [p.probability for p in predict_items(model, pairs)] == [
             sigmoid(reference_dot(weights, f)) for f in oracle]
 
 
@@ -161,15 +185,75 @@ class TestNodeReuseMatchesScalarOracle:
             premise, hypothesis = nodes[a % len(nodes)], nodes[b % len(nodes)]
             if copy:  # an equal tuple that is another object
                 hypothesis = tuple(list(hypothesis))
-            pairs.append(SentencePair(f"p{i}", premise, hypothesis))
-        rows = featurize(pairs, hash_bits)
+            pairs.append(TuplePair(f"p{i}", premise, hypothesis))
+        rows = featurize_items(pairs, hash_bits)
         oracle = [reference_featurize(sp, hash_bits) for sp in pairs]
         assert [row_items(rows, r) for r in range(len(rows))] == [list(f.items()) for f in oracle]
 
         model = BaselineModel.zeros(TrainConfig(hash_bits=hash_bits))
         model.weights[:] = np.random.default_rng(seed).normal(0.0, 2.0, model.dim)
-        assert [p.probability for p in predict(model, pairs)] == [
+        assert [p.probability for p in predict_items(model, pairs)] == [
             sigmoid(reference_dot(model.weights, f)) for f in oracle]
+
+
+word = st.sampled_from(["a", "b", "é", "日本", "a\x1eb", "\xa0"]) | st.text(
+    st.characters(blacklist_characters=WHITESPACE_CHARS), min_size=1, max_size=4)
+
+
+class TestSharedTableMatchesScalarOracle:
+    """Train and test pairs read into one token table and scored from one
+    node table, as `pipeline` reads them: a node in both files, two node
+    ids with equal text, and empty sides."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        texts=st.lists(st.lists(word, max_size=6).map(" ".join), min_size=1, max_size=4),
+        train_picks=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 1)),
+                             max_size=12),
+        test_picks=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12),
+        max_tokens=st.integers(1, 5),
+        hash_bits=st.integers(1, 18),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_and_probabilities(self, texts, train_picks, test_picks, max_tokens, hash_bits,
+                                    seed):
+        texts = [*texts, ""]
+        text_of = {i: texts[i // 2] for i in range(2 * len(texts))}  # ids 2k, 2k + 1: texts[k]
+        n = len(text_of)
+        # Ids 0 and 1 hold equal text, the last two are empty, and node 0 is in both files.
+        train_records = [PairRecord(f"t{k}", a % n, b % n, y)
+                         for k, (a, b, y) in enumerate([(0, 1, 1), (n - 1, 0, 0), *train_picks])]
+        test_records = [PairRecord(f"s{k}", a % n, b % n)
+                        for k, (a, b) in enumerate([(0, n - 2), *test_picks])]
+        tokens = Tokens(max_tokens)
+        train_pairs, test_pairs = (
+            [build_pair(r, text_of[r.id1], text_of[r.id2], tokens) for r in records]
+            for records in (train_records, test_records))
+        assert len(tokens.ids) == len({i for r in train_records + test_records
+                                       for i in (r.id1, r.id2)})
+        table = NodeTable(tokens, hash_bits)
+
+        def as_tuples(records):
+            return [TuplePair(r.pair_id, tokenize(text_of[r.id1], max_tokens),
+                              tokenize(text_of[r.id2], max_tokens), r.label) for r in records]
+
+        for pairs, records in ((train_pairs, train_records), (test_pairs, test_records)):
+            rows = featurize(pairs, table)
+            assert [row_items(rows, r) for r in range(len(rows))] == [
+                list(reference_featurize(t, hash_bits).items()) for t in as_tuples(records)]
+        cfg = TrainConfig(hash_bits=hash_bits, batch_size=3, epochs=2, seed=seed)
+        model = train(train_pairs, cfg, table)
+        assert_same_model(model, reference_train(as_tuples(train_records), cfg))
+        assert [p.probability for p in predict(model, test_pairs, table)] == [
+            sigmoid(reference_dot(model.weights, reference_featurize(t, hash_bits)))
+            for t in as_tuples(test_records)]
+
+    def test_table_hashed_at_other_hash_bits_rejected(self):
+        pairs, table = over_table([pair(["a"], ["b"], label=1)], hash_bits=8)
+        with pytest.raises(ValidationError, match="hash_bits 8"):
+            predict(BaselineModel.zeros(TrainConfig(hash_bits=9)), pairs, table)
+        with pytest.raises(ValidationError, match="hash_bits 8"):
+            train(pairs, TrainConfig(hash_bits=9), table)
 
 
 class TestAdamW:
@@ -291,8 +375,8 @@ class TestTrain:
     def test_learns_overlap_rule(self, fixture_sentence_pairs):
         from wikilink import evaluate
 
-        model = train(fixture_sentence_pairs, TrainConfig())
-        preds = predict(model, fixture_sentence_pairs)
+        model = train_items(fixture_sentence_pairs, TrainConfig())
+        preds = predict_items(model, fixture_sentence_pairs)
         gold = [sp.label for sp in fixture_sentence_pairs]
         matrix = evaluate.ConfusionMatrix(
             tp=sum(1 for p, g in zip(preds, gold) if p.label == 1 and g == 1),
@@ -304,7 +388,7 @@ class TestTrain:
 
     def test_first_epoch_loss_decreases_in_aggregate(self, fixture_sentence_pairs):
         cfg = TrainConfig(epochs=2)
-        model = train(fixture_sentence_pairs, cfg)
+        model = train_items(fixture_sentence_pairs, cfg)
         batches_per_epoch = math.ceil(len(fixture_sentence_pairs) / cfg.batch_size)
         first = model.loss_history[:batches_per_epoch]
         later = model.loss_history[batches_per_epoch : 2 * batches_per_epoch]
@@ -312,22 +396,22 @@ class TestTrain:
 
     def test_single_example_moves_toward_label(self):
         sp = pair(["a"], ["a"], label=1)
-        model = train([sp], TrainConfig(epochs=1))
-        assert predict(model, [sp])[0].probability > 0.5
+        model = train_items([sp], TrainConfig(epochs=1))
+        assert predict_items(model, [sp])[0].probability > 0.5
 
     def test_deterministic_for_fixed_seed(self, fixture_sentence_pairs):
         cfg = TrainConfig(seed=42)
-        m1 = train(fixture_sentence_pairs, cfg)
-        m2 = train(fixture_sentence_pairs, cfg)
+        m1 = train_items(fixture_sentence_pairs, cfg)
+        m2 = train_items(fixture_sentence_pairs, cfg)
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            train([], TrainConfig())
+            train_items([], TrainConfig())
 
     def test_unlabeled_rejected(self):
         with pytest.raises(ValidationError):
-            train([pair(["a"], ["b"], label=None)], TrainConfig())
+            train_items([pair(["a"], ["b"], label=None)], TrainConfig())
 
 
 def assert_same_model(got, want):
@@ -354,7 +438,7 @@ class TestTrainMatchesDenseOracle:
         examples = [pair(*distinct[i % len(distinct)], pair_id=f"p{i}") for i in range(n)]
         cfg = TrainConfig(hash_bits=hash_bits, weight_decay=weight_decay,
                           batch_size=batch_size, epochs=epochs, seed=seed)
-        assert_same_model(train(examples, cfg), reference_train(examples, cfg))
+        assert_same_model(train_items(examples, cfg), reference_train(examples, cfg))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_every_slot_touched(self, weight_decay):
@@ -362,58 +446,58 @@ class TestTrainMatchesDenseOracle:
         examples = [pair(tokens[i:], tokens[:i], label=i % 2, pair_id=f"p{i}") for i in range(12)]
         cfg = TrainConfig(hash_bits=2, weight_decay=weight_decay, batch_size=5, epochs=2)
         dim = (1 << cfg.hash_bits) + DENSE_BLOCK_SIZE
-        assert np.unique(featurize(examples, cfg.hash_bits).indices).size == dim
-        assert_same_model(train(examples, cfg), reference_train(examples, cfg))
+        assert np.unique(featurize_items(examples, cfg.hash_bits).indices).size == dim
+        assert_same_model(train_items(examples, cfg), reference_train(examples, cfg))
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_only_dense_block_touched(self, weight_decay):
         examples = [pair([], [], label=i % 2, pair_id=f"p{i}") for i in range(7)]
         cfg = TrainConfig(hash_bits=8, weight_decay=weight_decay, batch_size=3, epochs=3)
-        touched = np.unique(featurize(examples, cfg.hash_bits).indices)
+        touched = np.unique(featurize_items(examples, cfg.hash_bits).indices)
         assert touched.tolist() == [(1 << 8) + k for k in range(DENSE_BLOCK_SIZE)]
-        model = train(examples, cfg)
+        model = train_items(examples, cfg)
         assert_same_model(model, reference_train(examples, cfg))
         assert not model.weights[: 1 << 8].any()
 
     def test_fixture(self, fixture_sentence_pairs):
         cfg = TrainConfig()
-        assert_same_model(train(fixture_sentence_pairs, cfg),
+        assert_same_model(train_items(fixture_sentence_pairs, cfg),
                           reference_train(fixture_sentence_pairs, cfg))
 
 
 class TestPredict:
     def test_zero_model_is_half_and_positive(self):
         model = BaselineModel.zeros(TrainConfig())
-        p, = predict(model, [pair(["a"], ["b"], pair_id="q")])
+        p, = predict_items(model, [pair(["a"], ["b"], pair_id="q")])
         assert p == Prediction("q", 0.5, 1)
 
     def test_below_threshold_is_zero(self):
         cfg = TrainConfig()
         model = BaselineModel.zeros(cfg)
         model.weights[model.bias_index] = -0.1
-        assert predict(model, [pair(["a"], ["b"])])[0].label == 0
+        assert predict_items(model, [pair(["a"], ["b"])])[0].label == 0
 
     def test_monotone_in_present_feature_weight(self):
         cfg = TrainConfig(hash_bits=8)
         model = BaselineModel.zeros(cfg)
         sp = pair(["a"], ["a"])
-        before = predict(model, [sp])[0].probability
+        before = predict_items(model, [sp])[0].probability
         jaccard_index = (1 << 8) + 1
         model.weights[jaccard_index] += 1.0
-        assert predict(model, [sp])[0].probability > before
+        assert predict_items(model, [sp])[0].probability > before
 
     @given(st.floats(-30, 30))
     def test_probability_strictly_inside_unit_interval(self, w):
         cfg = TrainConfig(hash_bits=4)
         model = BaselineModel.zeros(cfg)
         model.weights[:] = w
-        p, = predict(model, [pair(["a", "b"], ["b"])])
+        p, = predict_items(model, [pair(["a", "b"], ["b"])])
         assert 0.0 < p.probability < 1.0
 
 
 class TestSerialization:
     def test_round_trip(self, fixture_sentence_pairs):
-        model = train(fixture_sentence_pairs[:50], TrainConfig(epochs=1))
+        model = train_items(fixture_sentence_pairs[:50], TrainConfig(epochs=1))
         buf = io.StringIO()
         save_model(model, buf)
         buf.seek(0)
@@ -421,7 +505,7 @@ class TestSerialization:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.config == model.config
         sp = fixture_sentence_pairs[0]
-        assert predict(loaded, [sp]) == predict(model, [sp])
+        assert predict_items(loaded, [sp]) == predict_items(model, [sp])
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValidationError):
@@ -432,7 +516,7 @@ class TestSerialization:
         out = []
         for _ in range(2):
             buf = io.StringIO()
-            save_model(train(fixture_sentence_pairs[:30], cfg), buf)
+            save_model(train_items(fixture_sentence_pairs[:30], cfg), buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
 
@@ -489,7 +573,7 @@ class TestSaveMatchesJsonOracle:
         assert_every_format_round_trips(model)
 
     def test_trained_model(self, fixture_sentence_pairs):
-        assert_every_format_round_trips(train(fixture_sentence_pairs, TrainConfig()))
+        assert_every_format_round_trips(train_items(fixture_sentence_pairs, TrainConfig()))
 
     def test_hash_bits_30_bound_needs_no_vector(self):
         """A hash_bits 30 vector is 8 GiB, more than a small host lends
@@ -499,4 +583,31 @@ class TestSaveMatchesJsonOracle:
         payload["config"]["hash_bits"] = 30
         payload["gaps"] = [(1 << 30) + DENSE_BLOCK_SIZE]
         with pytest.raises(ValidationError, match="past slot 1073741827"):
+            load_model(io.StringIO(json.dumps(payload)))
+
+
+class TestUnallocatableWeights:
+    """hash_bits 30 needs three vectors of 2^30 + 4 float64 slots, 24 GiB."""
+
+    NEEDS = "hash_bits 30 needs 25,769,803,872 bytes"
+
+    def test_zero_model(self, limit_zeros):
+        limit_zeros(1 << 20)
+        with pytest.raises(ValidationError, match=self.NEEDS):
+            BaselineModel.zeros(TrainConfig(hash_bits=30))
+
+    @pytest.mark.parametrize("writer", [saved, reference_save_model_v2])
+    def test_load_model(self, limit_zeros, writer):
+        payload = json.loads(writer(model_with([0.0] * 5 + [-MAX], 1)))
+        payload["config"]["hash_bits"] = 30
+        limit_zeros(1 << 20)
+        with pytest.raises(ValidationError, match=self.NEEDS):
+            load_model(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("writer", [saved, reference_save_model_v2])
+    def test_stored_weights_checked_before_any_vector(self, limit_zeros, writer):
+        payload = json.loads(writer(model_with([0.0] * 5 + [math.nan], 1)))
+        payload["config"]["hash_bits"] = 30
+        limit_zeros(0)
+        with pytest.raises(ValidationError, match="finite"):
             load_model(io.StringIO(json.dumps(payload)))

@@ -351,6 +351,50 @@ class TestPipeline:
         assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
         assert counts == {"node_rows": 400, "pairs_built": 200 + 200}
 
+    def test_one_node_table_per_run(self, fixture_dir, tmp_path, monkeypatch):
+        """`pipeline` builds one node table, and trains and predicts from it."""
+        built, used = [], []
+        train, predict = baseline.train, baseline.predict
+
+        class CountingTable(baseline.NodeTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def recording_train(examples, config, table):
+            used.append(table)
+            return train(examples, config, table)
+
+        def recording_predict(model, examples, table):
+            used.append(table)
+            return predict(model, examples, table)
+
+        monkeypatch.setattr(baseline, "NodeTable", CountingTable)
+        monkeypatch.setattr(baseline, "train", recording_train)
+        monkeypatch.setattr(baseline, "predict", recording_predict)
+        assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
+        assert len(built) == 1
+        assert used[0] is built[0] and used[1] is built[0] and len(used) == 2
+
+    # test.csv text -> exit code
+    @pytest.mark.parametrize("test_csv, code", [
+        ("id,id1\n", 2),
+        ("id,id1,id2\np1,1\n", 2),
+        ("id,id1,id2\np1,x,2\n", 2),
+        ("id,id1,id2\np1,1,2\np1,2,1\n", 3),
+        ("id,id1,id2\np1,1,987654321\n", 3),
+    ], ids=["header", "columns", "node id", "repeated id", "missing node"])
+    def test_bad_test_file_fails_before_training(self, fixture_dir, tmp_path, capsys,
+                                                  test_csv, code):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("nodes.tsv", "train.csv"):
+            (inputs / name).write_bytes((fixture_dir / name).read_bytes())
+        (inputs / "test.csv").write_text(test_csv)
+        assert main(pipeline_argv(inputs, tmp_path / "out")) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["nodes.clean.tsv"]
+
     def test_artifacts_independent_of_hash_seed(self, fixture_dir, tmp_path):
         for seed in (1, 2):
             proc = subprocess.run(
@@ -545,6 +589,25 @@ def test_bad_settings_and_input_exit_with_code(case, fixture_dir, tmp_path, caps
     assert "error [" in err and named in err and "Traceback" not in err
 
 
+def test_unallocatable_hash_bits_exit_3(fixture_dir, tmp_path, limit_zeros, capsys):
+    """hash_bits 30 on a host that cannot map its weight vectors: `train`
+    and `predict` exit 3 and name hash_bits and the bytes needed."""
+    model = tmp_path / "model.json"
+    payload = copy.deepcopy(BAD_MODEL_PAYLOADS["v3"])
+    payload["config"]["hash_bits"] = 30
+    model.write_text(json.dumps(payload))
+    limit_zeros(1 << 20)
+    out = tmp_path / "trained.json"
+    assert main(["train", "--pairs", str(fixture_dir / "train.csv"), "--hash-bits", "30",
+                 "--nodes", str(fixture_dir / "nodes.tsv"), "--model", str(out)]) == 3
+    assert main(["predict", "--model", str(model), "--pairs", str(fixture_dir / "test.csv"),
+                 "--nodes", str(fixture_dir / "nodes.tsv"), "--output", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error [validation]: hash_bits 30 needs 25,769,803,872 bytes") == 2
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
 def test_openblas_threads_default_to_one(preset, expected):
     env = src_env()
@@ -733,6 +796,26 @@ def test_bad_model_payloads_hold_one_model():
     assert len({m.weights.tobytes() for m in models}) == 1
 
 
+def _fuzzed(data, valid: bytes, starts: list[int], span: int) -> bytes:
+    """Arbitrary bytes, or 1 to 4 byte-level replacements, insertions and
+    deletions in `valid`, each at most `span` bytes past one of `starts`."""
+    if data.draw(st.booleans(), label="arbitrary bytes"):
+        return data.draw(st.binary(max_size=300), label="bytes")
+    text = bytearray(valid)
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        lo = min(data.draw(st.sampled_from(starts), label="from"), len(text))
+        at = data.draw(st.integers(lo, min(lo + span, len(text))), label="at")
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
+        byte = data.draw(st.binary(min_size=1, max_size=1), label="byte")
+        if kind == "insert" or at == len(text):
+            text[at:at] = byte
+        elif kind == "replace":
+            text[at:at + 1] = byte
+        else:
+            del text[at]
+    return bytes(text)
+
+
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -741,22 +824,65 @@ def test_fuzzed_model_file_fails_closed(data, fixture_dir, tmp_path):
     v3 file, exits 0, 2 or 3, never with a traceback. Half the mutations
     land in the gaps and weights, the last sixth of the file."""
     valid = json.dumps(BAD_MODEL_PAYLOADS["v3"]).encode()
-    if data.draw(st.booleans(), label="arbitrary bytes"):
-        text = data.draw(st.binary(max_size=300), label="bytes")
-    else:
-        text = bytearray(valid)
-        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
-            lo = data.draw(st.sampled_from([0, valid.index(b'"gaps"')]), label="from")
-            at = data.draw(st.integers(min(lo, len(text)), len(text)), label="at")
-            kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
-            byte = data.draw(st.binary(min_size=1, max_size=1), label="byte")
-            if kind == "insert" or at == len(text):
-                text[at:at] = byte
-            elif kind == "replace":
-                text[at:at + 1] = byte
-            else:
-                del text[at]
-        text = bytes(text)
+    text = _fuzzed(data, valid, [0, valid.index(b'"gaps"')], len(valid))
     code, err = _predict_model(fixture_dir, tmp_path, text)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+FUZZ_CONFIG = b"""[clean]
+debrace = true
+depunct = false
+[train]
+max_tokens = 64
+learning_rate = 0.01
+[run]
+strict_join = true
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(fixture_dir) -> dict[str, bytes]:
+    """The valid input files the fuzz test mutates: the fixture's, a
+    config file and a predictions file for train.csv."""
+    inputs = {name: (fixture_dir / name).read_bytes()
+              for name in ("nodes.tsv", "train.csv", "test.csv")}
+    with open(fixture_dir / "train.csv") as f:
+        ids = [p.pair_id for p in dataset.parse_pairs(f, labeled=True)]
+    inputs["predictions.csv"] = ("id,prob,label\n" + "".join(
+        f"{pair_id},{0.25 + k % 2 / 2},{k % 2}\n" for k, pair_id in enumerate(ids))).encode()
+    inputs["config.ini"] = FUZZ_CONFIG
+    return inputs
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_inputs_fail_closed(data, fuzz_inputs, tmp_path):
+    """Every input file but the model, as arbitrary bytes or with byte-level
+    mutations near the start of a line: `pipeline` (nodes, pairs files),
+    `prepare --config` (config file), or `eval` and `submit` (predictions
+    file) exit 0, 2, 3 or 4, never with a traceback."""
+    name = data.draw(st.sampled_from(sorted(fuzz_inputs)), label="input")
+    valid = fuzz_inputs[name]
+    starts = [0] + [i + 1 for i, byte in enumerate(valid) if byte == ord("\n")]
+    for file, text in fuzz_inputs.items():
+        (tmp_path / file).write_bytes(_fuzzed(data, valid, starts, 40) if file == name else text)
+    paths = {file: str(tmp_path / file) for file in fuzz_inputs}
+    out = tmp_path / "out"
+    if name == "predictions.csv":
+        command = data.draw(st.sampled_from(["eval", "submit"]), label="command")
+        argv = [command, "--predictions", paths[name], *(
+            ["--pairs", paths["train.csv"]] if command == "eval" else ["--output", str(out / "s.csv")])]
+    elif name == "config.ini":
+        argv = ["prepare", "--config", paths[name], "--pairs", paths["train.csv"],
+                "--nodes", paths["nodes.tsv"], "--output", str(out / "prepared.tsv")]
+    else:
+        argv = ["pipeline", "--nodes", paths["nodes.tsv"], "--train-pairs", paths["train.csv"],
+                "--test-pairs", paths["test.csv"], "--output-dir", str(out),
+                "--epochs", "1", "--hash-bits", "10"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

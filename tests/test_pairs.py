@@ -1,12 +1,13 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wikilink.dataset import PairRecord
 from wikilink.pairs import (
-    SentencePair,
+    Tokens,
     build_pair,
     tokenize,
     write_prepared,
@@ -42,44 +43,76 @@ class TestTokenize:
         assert tokenize(text, k) == tuple(reference_tokenize(text)[:k])
 
 
+def sides(sp):
+    """The premise and hypothesis of sp as token tuples, through its table's vocabulary."""
+    words = dict(zip(sp.tokens.vocab.values(), sp.tokens.vocab))
+    return tuple(tuple(words[i] for i in ids.tolist())
+                 for ids in (sp.premise_tokens, sp.hypothesis_tokens))
+
+
 class TestBuildPair:
     def test_basic(self):
-        sp = build_pair(PairRecord("p0", 1, 2, 1), "alpha beta", "gamma", 128)
-        assert sp == SentencePair("p0", ("alpha", "beta"), ("gamma",), 1)
+        sp = build_pair(PairRecord("p0", 1, 2, 1), "alpha beta", "gamma", Tokens(128))
+        assert (sp.pair_id, sp.label) == ("p0", 1)
+        assert sides(sp) == (("alpha", "beta"), ("gamma",))
+        assert sp.premise_tokens.dtype == np.int32
 
     def test_head_truncation(self):
         text = " ".join(f"t{i}" for i in range(200))
-        sp = build_pair(PairRecord("p", 1, 2, None), text, "x", 128)
+        sp = build_pair(PairRecord("p", 1, 2, None), text, "x", Tokens(128))
         assert len(sp.premise_tokens) == 128
-        assert sp.premise_tokens == tuple(f"t{i}" for i in range(128))
+        assert sides(sp)[0] == tuple(f"t{i}" for i in range(128))
 
     def test_empty_premise_allowed(self):
-        sp = build_pair(PairRecord("p", 1, 2, 0), "", "x", 128)
-        assert sp.premise_tokens == ()
+        sp = build_pair(PairRecord("p", 1, 2, 0), "", "x", Tokens(128))
+        assert sides(sp)[0] == ()
         assert sp.label == 0
 
     def test_custom_budget(self):
-        sp = build_pair(PairRecord("p", 1, 2, None), "a b c", "d", max_tokens=2)
-        assert sp.premise_tokens == ("a", "b")
+        sp = build_pair(PairRecord("p", 1, 2, None), "a b c", "d", Tokens(max_tokens=2))
+        assert sides(sp)[0] == ("a", "b")
 
     @given(texts, texts)
     def test_direction_swap(self, t1, t2):
-        fwd = build_pair(PairRecord("p", 1, 2, None), t1, t2, 128)
-        rev = build_pair(PairRecord("p", 2, 1, None), t2, t1, 128)
-        assert fwd.premise_tokens == rev.hypothesis_tokens
-        assert fwd.hypothesis_tokens == rev.premise_tokens
+        fwd = build_pair(PairRecord("p", 1, 2, None), t1, t2, Tokens(128))
+        rev = build_pair(PairRecord("p", 2, 1, None), t2, t1, Tokens(128))
+        assert sides(fwd) == sides(rev)[::-1]
 
     @given(texts, texts)
     def test_deterministic(self, t1, t2):
         rec = PairRecord("p", 1, 2, 1)
-        assert build_pair(rec, t1, t2, 128) == build_pair(rec, t1, t2, 128)
+        a, b = build_pair(rec, t1, t2, Tokens(128)), build_pair(rec, t1, t2, Tokens(128))
+        assert a[:4] == b[:4]  # all but the table
+        assert sides(a) == sides(b)
+
+
+class TestTokens:
+    def test_each_node_tokenized_once(self):
+        tokens = Tokens(128)
+        first = build_pair(PairRecord("p", 1, 2, None), "a b", "b c", tokens)
+        again = build_pair(PairRecord("q", 2, 1, None), "ignored", "ignored", tokens)
+        assert (again.premise, again.hypothesis) == (first.hypothesis, first.premise)
+        assert again.premise_tokens is first.hypothesis_tokens
+        assert len(tokens.ids) == 2
+
+    def test_equal_texts_are_rows_with_equal_ids(self):
+        tokens = Tokens(128)
+        sp = build_pair(PairRecord("p", 1, 2, None), "x y x", "x y x", tokens)
+        assert sp.premise != sp.hypothesis
+        assert sp.premise_tokens.tolist() == sp.hypothesis_tokens.tolist() == [0, 1, 0]
+
+    def test_id_is_first_seen_position(self):
+        tokens = Tokens(128)
+        build_pair(PairRecord("p", 1, 2, None), "a b a", "c b", tokens)
+        assert tokens.vocab == {"a": 0, "b": 1, "c": 3}
+        assert [ids.tolist() for ids in tokens.ids] == [[0, 1, 0], [3, 1]]
 
 
 class TestPreparedFile:
     def test_format(self):
-        sp = SentencePair("p0", ("a", "b"), ("c",), 1)
-        unlabeled = SentencePair("p1", (), ("d",), None)
+        tokens = Tokens(128)
+        sp = build_pair(PairRecord("p0", 1, 2, 1), "a b", "c", tokens)
+        unlabeled = build_pair(PairRecord("p1", 3, 4, None), "", "d", tokens)
         buf = io.StringIO()
-        write_prepared([sp, unlabeled], buf)
+        assert write_prepared([sp, unlabeled], tokens, buf) == 2
         assert buf.getvalue() == "p0\t1\ta b\tc\np1\t-\t\td\n"
-
