@@ -270,10 +270,10 @@ def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
     """Clean, prepare, train, predict and submit, parsing each input once.
 
     Both pairs files are read, into one token table, before anything past
-    `nodes.clean.tsv` is written; one node table over it serves training
-    and prediction. `prepared.tsv` is written from the very list the model
-    trains on. The model and predictions are used from memory; the JSON
-    float round trip is exact, so this matches reading them back.
+    `nodes.clean.tsv` is written; then the cleaned nodes are dropped. One node
+    table serves training and prediction, and `prepared.tsv` is written from
+    the very list the model trains on. The model and predictions are used from
+    memory; the JSON float round trip is exact, so this matches reading them back.
     """
     paths = given["paths"]
     for name in ("nodes", "train_pairs", "test_pairs"):
@@ -287,6 +287,7 @@ def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
     tokens = pairs_mod.Tokens(config.max_tokens)
     examples = _sentence_pairs(given, paths["train_pairs"], nodes, True, tokens)
     tests = _sentence_pairs(given, paths["test_pairs"], nodes, False, tokens)
+    del nodes  # both files are tokenized: the cleaned text is not read again
     with atomic_output(str(out / "prepared.tsv")) as dst:
         pairs_mod.write_prepared(examples, tokens, dst)
     table = baseline.NodeTable(tokens, config.hash_bits)

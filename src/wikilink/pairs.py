@@ -8,7 +8,7 @@ once per node and run, into the run's token table (`Tokens`).
 from __future__ import annotations
 
 import re
-from itertools import count
+from itertools import count, takewhile
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -89,13 +89,13 @@ def build_pair(pair: PairRecord, premise_text: str, hypothesis_text: str,
 
 def write_prepared(pairs: Sequence[SentencePair], tokens: Tokens, stream: IO) -> int:
     """One record per line: pair_id, label or `-`, premise, hypothesis
-    (tabs); each side is its node's tokens in `tokens`, joined by spaces."""
-    words, ranks = list(tokens.vocab), tokens.ranks()
-    sides: dict[int, str] = {}
+    (tabs); each side is its node's tokens in `tokens`, joined by spaces.
+    Ids grow in `tokens.vocab`'s order: only its prefix up to these rows' largest id is read."""
+    rows = dict.fromkeys(row for sp in pairs for row in (sp.premise, sp.hypothesis))
+    last = max((int(tokens.ids[row].max()) for row in rows if len(tokens.ids[row])), default=-1)
+    words = dict(zip(takewhile(last.__ge__, tokens.vocab.values()), tokens.vocab))
+    sides = {row: " ".join(map(words.__getitem__, tokens.ids[row].tolist())) for row in rows}
     for sp in pairs:
-        for row in (sp.premise, sp.hypothesis):
-            if row not in sides:
-                sides[row] = " ".join(map(words.__getitem__, ranks[tokens.ids[row]].tolist()))
         label = "-" if sp.label is None else str(sp.label)
         stream.write(f"{sp.pair_id}\t{label}\t{sides[sp.premise]}\t{sides[sp.hypothesis]}\n")
     return len(pairs)

@@ -7,10 +7,11 @@ Four deletion-only stages, applied in a fixed order:
     depunct  - delete punctuation characters
     despace  - collapse whitespace runs to single spaces, strip ends
 
-All functions operate on Unicode code points, never bytes, and are pure.
-Only the six ASCII `WHITESPACE_CHARS` are collapsed, but the end strips
-of balance and despace are `str.strip()`, which also removes Unicode
-whitespace such as U+00A0 at the ends: "a \xa0" -> "a", "a\xa0b" kept.
+Each stage is a pure `str -> str` function; every count is in code points.
+Debrace, depunct and despace cut UTF-8 bytes (`surrogatepass`): a byte below
+0x80 only ever encodes its ASCII character (RFC 3629), so no cut splits a
+character. `bytes.split()` splits on exactly the six `WHITESPACE_CHARS` (not
+`\x85`, `\xa0`, ...). The end strips are `str.strip()`: "a \xa0" -> "a", "a\xa0b" kept.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 
 # Space, tab, CR, LF, form feed, vertical tab. Deliberately not Unicode-wide.
 WHITESPACE_CHARS = " \t\r\n\f\v"
-_TO_SPACE = str.maketrans(dict.fromkeys(WHITESPACE_CHARS[1:], " "))
 
 # ASCII punctuation with `{` and `}` excluded: braces belong to the debrace
 # stage and must survive depunct when depunct runs alone.
 DEFAULT_PUNCTUATION = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`|~")
-_DELETIONS = dict.fromkeys(map(ord, DEFAULT_PUNCTUATION))  # for str.translate
+_PUNCTUATION_BYTES = "".join(sorted(DEFAULT_PUNCTUATION)).encode("ascii")
+_UTF8 = ("utf-8", "surrogatepass")  # a lone surrogate round-trips
 
 STAGES = ("balance", "debrace", "depunct", "despace")
 
@@ -79,27 +80,27 @@ def remove_brace_spans(text: str) -> str:
 
     `{` pushes; `}` pops when the stack top is `{`, otherwise it is
     silently dropped; other characters are kept only at depth zero.
-    Everything after an unmatched `{` is dropped. The clamped depth
-    D_i = max(0, D_{i-1} + s_i) (s = +1 at `{`, -1 at `}`) has the closed
-    form S - min(0, running min of S) with S = cumsum(s) (Lindley, 1952),
-    so the scan is a few array passes over the code points at any depth.
+    Everything after an unmatched `{` is dropped. The clamped depth after
+    brace k, D_k = max(0, D_{k-1} + s_k) (s = +1 at `{`, -1 at `}`), is
+    S - running min of S, with S = cumsum(s) from S_0 = 0 (Lindley, 1952).
+    Kept are the bytes before the first brace and after each brace with D = 0.
     """
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-    steps = (codes == ord("{")).view(np.int8) - (codes == ord("}")).view(np.int8)
-    total = np.cumsum(steps, dtype=np.int64)
-    depth = total - np.minimum(np.minimum.accumulate(total), 0)
-    # A non-brace character leaves the depth unchanged, so D_i is the
-    # depth before it.
-    keep = (depth == 0) & (steps == 0)
-    return codes[keep].tobytes().decode("utf-32-le", "surrogatepass")
+    data = text.encode(*_UTF8)
+    codes = np.frombuffer(data, np.uint8)
+    at = np.flatnonzero((codes == 123) | (codes == 125))  # `{`, `}`: s = 124 - code
+    total = np.cumsum(np.append(0, 124 - codes[at].astype(np.int64)))
+    runs = np.flatnonzero(total == np.minimum.accumulate(total))
+    starts = (np.append(-1, at)[runs] + 1).tolist()
+    stops = np.append(at, len(data))[runs].tolist()
+    return b"".join([data[i:j] for i, j in zip(starts, stops)]).decode(*_UTF8)
 
 
 def strip_punctuation(text: str) -> str:
-    return text.translate(_DELETIONS)
+    return text.encode(*_UTF8).translate(None, _PUNCTUATION_BYTES).decode(*_UTF8)
 
 
 def normalize_whitespace(text: str) -> str:
-    return " ".join(filter(None, text.translate(_TO_SPACE).split(" "))).strip()
+    return b" ".join(text.encode(*_UTF8).split()).decode(*_UTF8).strip()
 
 
 def clean(text: str, config: CleanConfig | None = None) -> tuple[str, CleanReport]:

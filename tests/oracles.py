@@ -8,11 +8,12 @@ over every weight slot where the library runs over the touched ones,
 and the v3 model writer counts the runs of +0.0 and packs the weights
 weight by weight. The v2 and v1 writers, which the library no longer
 has, make the files that test reading v2 and v1. The featurizer, dot
-product, loss, AdamW formulas and punctuation filter below are the scalar or out-of-place versions that
-the library's array code must match bit for bit; the whitespace
-collapse is a regex over maximal runs where the library splits on
-spaces; the tokenizer splits the whole text where the library stops
-after the token budget. The pairs-CSV writer lives here because only the
+product, loss and AdamW formulas below are the scalar or out-of-place
+versions that the library's array code must match bit for bit; the
+punctuation filter and the whitespace collapse (a regex over maximal
+runs) work on code points where the library cuts UTF-8 bytes; the
+tokenizer splits the whole text where the library stops after the
+token budget. The pairs-CSV writer lives here because only the
 tests write pairs files. The oracles take a pair as token tuples
 (`TuplePair`); `table_pairs` turns such pairs into the library's, over
 one token table.

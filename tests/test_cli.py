@@ -3,6 +3,7 @@ import binascii
 import contextlib
 import copy
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import os
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wikilink
-from wikilink import baseline, dataset, pairs
+from wikilink import baseline, cli, dataset, pairs
 from wikilink.cli import main, make_parser
 
 from oracles import reference_save_model_v1, reference_save_model_v2
@@ -84,6 +86,17 @@ class TestClean:
         report_line = next(l for l in err.splitlines() if l.startswith("clean-report "))
         payload = json.loads(report_line.split(" ", 1)[1])
         assert payload["chars_removed_debrace"] == 7
+
+    def test_report_counts_code_points(self, monkeypatch, capsys):
+        # The span holds 2-, 3- and 4-byte characters: 7 code points, 13 UTF-8 bytes.
+        code = run_cli(["clean", "--report"], "1\t{é日😀 x}é b.\n", monkeypatch)
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == "1\té b\n"
+        report_line = next(l for l in err.splitlines() if l.startswith("clean-report "))
+        payload = json.loads(report_line.split(" ", 1)[1])
+        assert (payload["input_length"], payload["chars_removed_debrace"],
+                payload["output_length"]) == (11, 7, 3)
 
     def test_report_counts_node_lines_without_text(self, monkeypatch, capsys):
         code = run_cli(["clean", "--report"], "1\tabc\n2\n3\tx y\n", monkeypatch)
@@ -375,6 +388,26 @@ class TestPipeline:
         assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
         assert len(built) == 1
         assert used[0] is built[0] and used[1] is built[0] and len(used) == 2
+
+    def test_cleaned_table_dropped_before_training(self, fixture_dir, tmp_path, monkeypatch):
+        """`pipeline` holds no cleaned node text once both pairs files are tokenized."""
+        refs, alive = [], []
+        clean_nodes, train = cli._clean_nodes, baseline.train
+
+        def recording_clean_nodes(*args, **kwargs):
+            table = clean_nodes(*args, **kwargs)
+            refs.append(weakref.ref(next(iter(table.values()))))
+            return table
+
+        def checking_train(*args):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return train(*args)
+
+        monkeypatch.setattr(cli, "_clean_nodes", recording_clean_nodes)
+        monkeypatch.setattr(baseline, "train", checking_train)
+        assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
+        assert alive == [False]
 
     # test.csv text -> exit code
     @pytest.mark.parametrize("test_csv, code", [

@@ -116,3 +116,21 @@ class TestPreparedFile:
         buf = io.StringIO()
         assert write_prepared([sp, unlabeled], tokens, buf) == 2
         assert buf.getvalue() == "p0\t1\ta b\tc\np1\t-\t\td\n"
+
+    @given(st.lists(texts, min_size=2, max_size=6), st.lists(texts, max_size=4))
+    def test_later_rows_leave_output_unchanged(self, train_texts, later_texts):
+        """A test file's nodes, added after the training pairs, do not change
+        what `write_prepared` writes for those pairs."""
+        tokens = Tokens(3)
+        train = [build_pair(PairRecord(f"p{i}", i, i + 1, i % 2), a, b, tokens)
+                 for i, (a, b) in enumerate(zip(train_texts, train_texts[1:]))]
+        before = io.StringIO()
+        write_prepared(train, tokens, before)
+        for i, (a, b) in enumerate(zip(later_texts, later_texts[1:])):
+            build_pair(PairRecord(f"t{i}", 100 + i, 0, None), a, b, tokens)
+        after = io.StringIO()
+        write_prepared(train, tokens, after)
+        assert after.getvalue() == before.getvalue() == "".join(
+            f"p{i}\t{i % 2}\t{' '.join(reference_tokenize(a)[:3])}\t"
+            f"{' '.join(reference_tokenize(b)[:3])}\n"
+            for i, (a, b) in enumerate(zip(train_texts, train_texts[1:])))

@@ -1,3 +1,4 @@
+import itertools
 import string
 import time
 
@@ -256,3 +257,36 @@ class TestClean:
         cfg = CleanConfig(stage_mask=("depunct", "despace"))
         out, _ = clean("a, {{b}}  c", cfg)
         assert out == "a {{b}} c"
+
+
+# Braces, two punctuation marks, the six collapsed whitespace characters,
+# ASCII, 2-, 3- and 4-byte UTF-8, two lone surrogates (adjacent, a pair),
+# and Unicode whitespace that is not collapsed. The byte-level stages cut
+# only at ASCII bytes, so no string over this alphabet may split a character.
+BOUNDARY_ALPHABET = ["{", "}", ".", "'", *WHITESPACE_CHARS, "a", "é", "日", "😀",
+                     chr(0xD800), chr(0xDC00), "\x1c", "\x85", "\xa0", chr(0x2003)]
+
+
+def test_every_short_string_matches_oracles():
+    oracles = {
+        "balance": reference_balance,
+        "debrace": lambda text: reference_remove_spans(text)[1:],
+        "depunct": reference_strip_punctuation,
+        "despace": reference_normalize_whitespace,
+    }
+    stages = dict(zip(STAGES, (balance_curly_braces, remove_brace_spans,
+                               strip_punctuation, normalize_whitespace)))
+    masks = [STAGES, *((stage,) for stage in STAGES)]
+    checked = 0
+    for n in range(4):
+        for chars in itertools.product(BOUNDARY_ALPHABET, repeat=n):
+            text = "".join(chars)
+            for stage, fn in stages.items():
+                assert fn(text) == oracles[stage](text), (stage, text)
+            for mask in masks:
+                expected = text
+                for stage in mask:
+                    expected = oracles[stage](expected)
+                assert clean(text, CleanConfig(stage_mask=mask))[0] == expected, (mask, text)
+            checked += 1
+    assert checked == 1 + 20 + 20**2 + 20**3
