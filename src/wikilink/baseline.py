@@ -50,8 +50,7 @@ _BIGRAM_SEP = 0x1E  # byte between the two tokens of a bigram key
 # letter and 0x1f, a bigram joins its tokens with 0x1e, each side lists
 # its unigrams then its bigrams, shared tokens go in code-point order,
 # then the dense block; slots are 64-bit FNV-1a masked to hash_bits.
-# save_model writes it and load_model requires it. The layout has not
-# changed since v1, so v1 and v2 files, which carry no tag, are read as it.
+# save_model writes it and load_model requires it.
 FEATURE_LAYOUT = ("ns=P,H,S+0x1f;bigram-sep=0x1e;side=unigrams,bigrams;shared=code-point-order;"
                   "dense=overlap,jaccard,length-diff,bias;hash=fnv1a-64-masked")
 
@@ -532,13 +531,7 @@ def predict(model: BaselineModel, pairs: Sequence[SentencePair],
 
 
 MODEL_FORMAT = "wikilink-baseline-v3"
-MODEL_FORMAT_V2 = "wikilink-baseline-v2"  # stored weights as JSON numbers; still read
-MODEL_FORMAT_V1 = "wikilink-baseline-v1"  # dense weights; still read
-_MODEL_KEYS = {
-    MODEL_FORMAT: {"format", "layout", "config", "gaps", "weights"},
-    MODEL_FORMAT_V2: {"format", "config", "gaps", "weights"},
-    MODEL_FORMAT_V1: {"format", "config", "hash_bits", "weights"},
-}
+_MODEL_KEYS = {"format", "layout", "config", "gaps", "weights"}
 
 
 def save_model(model: BaselineModel, stream: IO) -> None:
@@ -562,22 +555,22 @@ def save_model(model: BaselineModel, stream: IO) -> None:
 
 
 def _decode_weights(text) -> np.ndarray:
-    """The stored weights of a v3 file: canonical base64 of '<f8' values."""
+    """The stored weights: canonical base64 of '<f8' values."""
     if not isinstance(text, str):
-        raise ValidationError("v3 model weights must be a base64 string")
+        raise ValidationError("model weights must be a base64 string")
     try:
         raw = binascii.a2b_base64(text)  # lenient: skips stray bytes, so re-encode below
     except ValueError as exc:  # binascii.Error, or a str that is not ASCII
-        raise ValidationError(f"v3 model weights are not base64: {exc}") from None
+        raise ValidationError(f"model weights are not base64: {exc}") from None
     if binascii.b2a_base64(raw, newline=False).decode("ascii") != text:
-        raise ValidationError("v3 model weights are not canonical base64")
+        raise ValidationError("model weights are not canonical base64")
     if len(raw) % 8:
-        raise ValidationError(f"v3 model weights hold {len(raw)} bytes, not a multiple of 8")
+        raise ValidationError(f"model weights hold {len(raw)} bytes, not a multiple of 8")
     return np.frombuffer(raw, dtype="<f8")
 
 
 def _stored_slots(gaps, n_stored: int, dim: int) -> np.ndarray:
-    """The slots of a v2 or v3 file's stored weights, which its `gaps` give."""
+    """The slots of the stored weights, which the file's `gaps` give."""
     if not isinstance(gaps, list) or not set(map(type, gaps)) <= {int} or min(gaps, default=0) < 0:
         raise ValidationError("model gaps must be a list of non-negative integers")
     if len(gaps) != n_stored:
@@ -589,20 +582,17 @@ def _stored_slots(gaps, n_stored: int, dim: int) -> np.ndarray:
 
 
 def load_model(stream: IO) -> BaselineModel:
-    """Read a model that save_model wrote, in the v3, v2 or v1 layout; any
-    other input fails closed.
+    """Read a model that save_model wrote; any other input fails closed.
 
     Text that is not a JSON object is a ParseError. Each of these is a
-    ValidationError: a format tag other than the three; keys other than
-    exactly those of its format; a v3 layout tag other than
-    FEATURE_LAYOUT; a v1 top-level hash_bits other than the config's; a
+    ValidationError: a format tag other than MODEL_FORMAT; keys other
+    than exactly its five; a layout tag other than FEATURE_LAYOUT; a
     config without exactly the TrainConfig fields, each of its JSON type
-    and in range; or weights that are not finite numbers of the length
-    hash_bits gives. A v2 or v3 file must also hold as many gaps as
-    stored weights, each gap a non-negative JSON int, and no weight past
-    the last slot; a v3 file's weights must be the canonical base64 of a
-    whole number of float64 values. Weight vectors the host cannot
-    allocate at the config's hash_bits are a ValidationError too.
+    and in range; weights that are not the canonical base64 of a whole
+    number of finite float64 values; gaps that are not one non-negative
+    JSON int per stored weight, or that place a weight past the last
+    slot hash_bits gives. Weight vectors the host cannot allocate at the
+    config's hash_bits are a ValidationError too.
     """
     try:
         payload = json.load(stream)
@@ -611,15 +601,14 @@ def load_model(stream: IO) -> BaselineModel:
         raise ParseError(f"model file is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ParseError("model file is not a JSON object")
-    version = payload.get("format")
-    if not isinstance(version, str) or version not in _MODEL_KEYS:
-        raise ValidationError(f"unsupported model format {version!r}")
-    if payload.keys() != _MODEL_KEYS[version]:
-        raise ValidationError(f"a {version} model must hold exactly the keys "
-                              + ", ".join(sorted(_MODEL_KEYS[version])))
-    if version == MODEL_FORMAT and payload["layout"] != FEATURE_LAYOUT:
+    if payload.get("format") != MODEL_FORMAT:
+        raise ValidationError(f"unsupported model format {payload.get('format')!r}")
+    if payload.keys() != _MODEL_KEYS:
+        raise ValidationError(f"a {MODEL_FORMAT} model must hold exactly the keys "
+                              + ", ".join(sorted(_MODEL_KEYS)))
+    if payload["layout"] != FEATURE_LAYOUT:
         raise ValidationError(f"unknown feature layout {payload['layout']!r}")
-    raw, weights = payload["config"], payload["weights"]
+    raw = payload["config"]
     if not isinstance(raw, dict) or raw.keys() != TRAIN_FIELD_TYPES.keys():
         raise ValidationError("model config must hold exactly the keys "
                               + ", ".join(TRAIN_FIELD_TYPES))
@@ -630,30 +619,16 @@ def load_model(stream: IO) -> BaselineModel:
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValidationError(
                 f"model config {key} must be a JSON {kind.__name__}, got {value!r}")
-    if version == MODEL_FORMAT_V1 and (type(payload["hash_bits"]) is not int
-                                       or payload["hash_bits"] != raw["hash_bits"]):
-        raise ValidationError(f"model hash_bits {payload['hash_bits']!r} differs from "
-                              f"its config's {raw['hash_bits']}")
-    if version == MODEL_FORMAT:
-        weights = _decode_weights(weights)
-    elif not isinstance(weights, list) or not set(map(type, weights)) <= {int, float}:
-        raise ValidationError("model weights must be a list of numbers")
     try:
         config = TrainConfig(**{key: kind(raw[key]) for key, kind in TRAIN_FIELD_TYPES.items()})
-        weights = np.asarray(weights, dtype=float)
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"bad model: {exc}") from None
+    weights = _decode_weights(payload["weights"])
     # Only stored values can be non-finite: checked before any dense vector exists.
     if not np.isfinite(weights).all():
         raise ValidationError("model weights must be finite")
-    expected = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
-    if version != MODEL_FORMAT_V1:
-        slots = _stored_slots(payload["gaps"], weights.shape[0], expected)
-    elif weights.shape[0] == expected:
-        slots = slice(None)  # v1 stores every slot
-    else:
-        raise ValidationError(f"weight vector length {weights.shape[0]} does not match "
-                              f"hash_bits {config.hash_bits}")
+    dim = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
+    slots = _stored_slots(payload["gaps"], weights.shape[0], dim)
     # Lazily mapped zeros: predict never reads m or v, so their pages stay unmapped.
     dense, m, v = _zero_vectors(config.hash_bits, 3)
     dense[slots] = weights

@@ -52,7 +52,8 @@ def open_input(path: str | None):
     if path is None or path == "-":
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        # Split on LF only, as sys.stdin does: a bare CR is field content.
+        with open(path, "r", encoding="utf-8", newline="\n") as handle:
             yield handle
 
 
@@ -81,13 +82,13 @@ def settings(args: argparse.Namespace) -> dict[str, dict]:
     try:
         if path:
             parser = configparser.ConfigParser(interpolation=None)
-            # A UnicodeDecodeError is a ValueError, which the handler below calls a bad setting.
-            try:
-                read = parser.read(path, encoding="utf-8")
-            except (configparser.Error, UnicodeDecodeError) as exc:
-                raise ParseError(f"config file {path}: {exc}") from exc
-            if not read:
-                raise ParseError(f"config file not found: {path}")
+            # An unopenable file is an OSError (io). A UnicodeDecodeError is a ValueError: catch it
+            # here, or the handler below calls it a bad setting.
+            with open(path, encoding="utf-8") as handle:
+                try:
+                    parser.read_file(handle)
+                except (configparser.Error, UnicodeDecodeError) as exc:
+                    raise ParseError(f"config file {path}: {exc}") from exc
             if parser.defaults():
                 raise ValidationError(f"[DEFAULT] options {sorted(parser.defaults())} in "
                                       f"{path}: each setting belongs in its own section")

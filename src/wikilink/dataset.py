@@ -3,8 +3,10 @@
 nodes.tsv: two tab-separated columns, id and text, no quoting layer.
 pairs csv: header `id,id1,id2,label` (labeled) or `id,id1,id2` (unlabeled),
 LF or CRLF line endings; pair ids are unique and hold no tab, since they
-head the tab-separated prepared.tsv lines. Output written by this package
-is always LF.
+head the tab-separated prepared.tsv lines. Lines end at LF only; the
+CRs at the end of a line are dropped and any other CR is field content,
+so a file reads the same from a path and from stdin. Output written by
+this package is always LF.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ brace routines are line-by-line transcriptions of the published
 pseudocode, the metric is recomputed from raw label lists, and the
 gradient oracle is central finite differences. The training loop runs
 over every weight slot where the library runs over the touched ones,
-and the v3 model writer counts the runs of +0.0 and packs the weights
-weight by weight. The v2 and v1 writers, which the library no longer
-has, make the files that test reading v2 and v1. The featurizer, dot
+and the model writer counts the runs of +0.0 and packs the weights
+weight by weight. The featurizer, dot
 product, loss and AdamW formulas below are the scalar or out-of-place
 versions that the library's array code must match bit for bit; the
 punctuation filter and the whitespace collapse (a regex over maximal
@@ -35,8 +34,6 @@ import numpy as np
 from wikilink.baseline import (
     FEATURE_LAYOUT,
     MODEL_FORMAT,
-    MODEL_FORMAT_V1,
-    MODEL_FORMAT_V2,
     BaselineModel,
     FeatureRows,
     NodeTable,
@@ -330,30 +327,5 @@ def reference_save_model_v3(model: BaselineModel) -> str:
         "gaps": gaps,
         "weights": binascii.b2a_base64(b"".join(struct.pack("<d", w) for w in stored),
                                        newline=False).decode("ascii"),
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def reference_save_model_v2(model: BaselineModel) -> str:
-    """The v2 model file text, which the library no longer writes but still
-    reads: json.dumps of the payload, each stored weight a JSON float."""
-    gaps, stored = _stored_weights(model)
-    payload = {
-        "format": MODEL_FORMAT_V2,
-        "config": asdict(model.config),
-        "gaps": gaps,
-        "weights": stored,
-    }
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def reference_save_model_v1(model: BaselineModel) -> str:
-    """The v1 model file text, which the library no longer writes but still
-    reads: json.dumps of the payload with every weight a float."""
-    payload = {
-        "format": MODEL_FORMAT_V1,
-        "config": asdict(model.config),
-        "hash_bits": model.config.hash_bits,
-        "weights": model.weights.tolist(),
     }
     return json.dumps(payload, separators=(",", ":")) + "\n"

@@ -39,8 +39,6 @@ from oracles import (
     reference_dot,
     reference_featurize,
     reference_loss_and_gradient,
-    reference_save_model_v1,
-    reference_save_model_v2,
     reference_save_model_v3,
     reference_train,
     row_items,
@@ -538,42 +536,36 @@ def saved(model):
     return buf.getvalue()
 
 
-def assert_round_trip(model, text):
+def assert_saved_as_oracle_and_round_trips(model):
+    """save_model writes the scalar v3 oracle's text, which loads to the
+    model's weights, bit for bit."""
+    text = saved(model)
+    assert text == reference_save_model_v3(model)
     loaded = load_model(io.StringIO(text))
     assert loaded.weights.tobytes() == model.weights.tobytes()
     assert loaded.config == model.config
 
 
-def assert_every_format_round_trips(model):
-    """save_model writes the scalar v3 oracle's text, and that text, the v2
-    and the v1 file of the model each load to its weights, bit for bit."""
-    text = saved(model)
-    assert text == reference_save_model_v3(model)
-    for text in (text, reference_save_model_v2(model), reference_save_model_v1(model)):
-        assert_round_trip(model, text)
-
-
 class TestSaveMatchesJsonOracle:
     """`save_model` writes the v3 file: the base64 of the stored weights'
     float64 bytes and their gaps, which the oracle packs and counts weight
-    by weight. The v2 and v1 files of the same model load to the same
-    weights, bit for bit."""
+    by weight. The file loads to the same weights, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(hash_bits=st.integers(1, 6), data=st.data())
     def test_bytes_equal_oracle(self, hash_bits, data):
         dim = (1 << hash_bits) + DENSE_BLOCK_SIZE
         model = model_with(data.draw(st.lists(model_weight, min_size=dim, max_size=dim)), hash_bits)
-        assert_every_format_round_trips(model)
+        assert_saved_as_oracle_and_round_trips(model)
 
     @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, -1e308, 1e308])
     @pytest.mark.parametrize("hash_bits", [1, 18])
     def test_uniform_vectors(self, fill, hash_bits):
         model = model_with(np.full((1 << hash_bits) + DENSE_BLOCK_SIZE, fill), hash_bits)
-        assert_every_format_round_trips(model)
+        assert_saved_as_oracle_and_round_trips(model)
 
     def test_trained_model(self, fixture_sentence_pairs):
-        assert_every_format_round_trips(train_items(fixture_sentence_pairs, TrainConfig()))
+        assert_saved_as_oracle_and_round_trips(train_items(fixture_sentence_pairs, TrainConfig()))
 
     def test_hash_bits_30_bound_needs_no_vector(self):
         """A hash_bits 30 vector is 8 GiB, more than a small host lends
@@ -596,17 +588,15 @@ class TestUnallocatableWeights:
         with pytest.raises(ValidationError, match=self.NEEDS):
             BaselineModel.zeros(TrainConfig(hash_bits=30))
 
-    @pytest.mark.parametrize("writer", [saved, reference_save_model_v2])
-    def test_load_model(self, limit_zeros, writer):
-        payload = json.loads(writer(model_with([0.0] * 5 + [-MAX], 1)))
+    def test_load_model(self, limit_zeros):
+        payload = json.loads(saved(model_with([0.0] * 5 + [-MAX], 1)))
         payload["config"]["hash_bits"] = 30
         limit_zeros(1 << 20)
         with pytest.raises(ValidationError, match=self.NEEDS):
             load_model(io.StringIO(json.dumps(payload)))
 
-    @pytest.mark.parametrize("writer", [saved, reference_save_model_v2])
-    def test_stored_weights_checked_before_any_vector(self, limit_zeros, writer):
-        payload = json.loads(writer(model_with([0.0] * 5 + [math.nan], 1)))
+    def test_stored_weights_checked_before_any_vector(self, limit_zeros):
+        payload = json.loads(saved(model_with([0.0] * 5 + [math.nan], 1)))
         payload["config"]["hash_bits"] = 30
         limit_zeros(0)
         with pytest.raises(ValidationError, match="finite"):

@@ -23,8 +23,6 @@ import wikilink
 from wikilink import baseline, cli, dataset, pairs
 from wikilink.cli import main, make_parser
 
-from oracles import reference_save_model_v1, reference_save_model_v2
-
 SRC = str(Path(wikilink.__file__).resolve().parents[1])
 
 ARTIFACTS = ("model.json", "submission.csv", "predictions.csv",
@@ -267,23 +265,13 @@ class TestTrainPredictEvalSubmit:
         assert payload["format"] == "wikilink-baseline-v3"
         assert payload["layout"] == baseline.FEATURE_LAYOUT
 
-    def test_predict_reads_v1_v2_and_v3_alike(self, artifacts, fixture_dir, tmp_path):
-        """Standalone `predict` writes the same predictions.csv from the v3
-        model.json and from the v1 and v2 files of the same model."""
-        with open(artifacts / "model.json") as src:
-            model = baseline.load_model(src)
-        written = {}
-        for name, text in [("v1", reference_save_model_v1(model)),
-                           ("v2", reference_save_model_v2(model)),
-                           ("v3", (artifacts / "model.json").read_text())]:
-            (tmp_path / f"{name}.json").write_text(text)
-            assert main(["predict", "--model", str(tmp_path / f"{name}.json"),
-                         "--pairs", str(fixture_dir / "test.csv"),
-                         "--nodes", str(artifacts / "nodes.clean.tsv"),
-                         "--output", str(tmp_path / f"{name}.csv")]) == 0
-            written[name] = (tmp_path / f"{name}.csv").read_bytes()
-        assert written["v1"] == written["v2"] == written["v3"]
-        assert written["v3"] == (artifacts / "predictions.csv").read_bytes()
+    def test_predict_on_model_json_matches_pipeline(self, artifacts, fixture_dir, tmp_path):
+        """Standalone `predict` on model.json writes the pipeline's predictions.csv."""
+        assert main(["predict", "--model", str(artifacts / "model.json"),
+                     "--pairs", str(fixture_dir / "test.csv"),
+                     "--nodes", str(artifacts / "nodes.clean.tsv"),
+                     "--output", str(tmp_path / "p.csv")]) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (artifacts / "predictions.csv").read_bytes()
 
     def test_predictions_cover_all_pairs(self, artifacts):
         lines = (artifacts / "predictions.csv").read_text().splitlines()
@@ -622,11 +610,49 @@ def test_bad_settings_and_input_exit_with_code(case, fixture_dir, tmp_path, caps
     assert "error [" in err and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unopenable_config_exits_4(kind, fixture_dir, tmp_path, capsys):
+    cfg = tmp_path / "config.ini"
+    if kind == "directory":
+        cfg.mkdir()
+    assert main(pipeline_argv(fixture_dir, tmp_path / "out", "--config", str(cfg))) == 4
+    err = capsys.readouterr().err
+    assert "error [io]" in err and str(cfg) in err and "Traceback" not in err
+
+
+# case -> (the subcommand and its input flag, input bytes, exit code, stdout it holds)
+BARE_CR_INPUTS = {
+    "nodes.tsv CR in a text": (["clean", "--input"], b"1\thello\rworld\n", 0, b"1\thello world\n"),
+    "nodes.tsv CR before an id": (["clean", "--input"], b"1\tfoo\r42\tbar\n2\tsecond\n", 2, b""),
+    "pairs CR in an id": (["stats", "--pairs"], b"id,id1,id2,label\na\rb,1,2,1\n", 0, b'"count_1": 1'),
+    "pairs CR before an id": (["stats", "--pairs"], b"id,id1,id2,label\np1,1,2,1\rp2,3,4,0\n", 2, b""),
+    "predictions CR in an id": (["submit", "--predictions"], b"id,prob,label\na\rb,0.5,1\n", 0,
+                                b"id,label\na\rb,1\n"),
+    "predictions CR before an id": (["submit", "--predictions"],
+                                    b"id,prob,label\np1,0.5,1\rp2,0.2,0\n", 2, b""),
+}
+
+
+@pytest.mark.parametrize("case", BARE_CR_INPUTS)
+def test_bare_cr_reads_alike_by_path_and_stdin(case, tmp_path):
+    """A bare CR is field content: lines end at LF whether the input is a
+    path or the process's own stdin, so both give one exit code and output."""
+    argv, data, expected, out = BARE_CR_INPUTS[case]
+    (tmp_path / "input").write_bytes(data)
+    runs = [subprocess.run([sys.executable, "-m", "wikilink.cli", *argv, source], input=data,
+                           capture_output=True, env=src_env())
+            for source in (str(tmp_path / "input"), "-")]
+    assert [run.returncode for run in runs] == [expected, expected], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert out in runs[0].stdout
+    assert b"Traceback" not in runs[0].stderr + runs[1].stderr
+
+
 def test_unallocatable_hash_bits_exit_3(fixture_dir, tmp_path, limit_zeros, capsys):
     """hash_bits 30 on a host that cannot map its weight vectors: `train`
     and `predict` exit 3 and name hash_bits and the bytes needed."""
     model = tmp_path / "model.json"
-    payload = copy.deepcopy(BAD_MODEL_PAYLOADS["v3"])
+    payload = copy.deepcopy(BAD_MODEL)
     payload["config"]["hash_bits"] = 30
     model.write_text(json.dumps(payload))
     limit_zeros(1 << 20)
@@ -743,59 +769,53 @@ def _b64(raw: bytes) -> str:
 BAD_MODEL_CONFIG = dataclasses.asdict(baseline.TrainConfig(hash_bits=4))
 STORED = [0.5, -0.25, -0.0, 2.0]
 STORED_BYTES = struct.pack("<4d", *STORED)
-BAD_MODEL_PAYLOADS = {
-    "v1": {"format": baseline.MODEL_FORMAT_V1, "config": BAD_MODEL_CONFIG, "hash_bits": 4,
-           "weights": [0.5, 0.0, -0.25, 0.0, 0.0, -0.0] + [0.0] * 13 + [2.0]},
-    "v2": {"format": baseline.MODEL_FORMAT_V2, "config": BAD_MODEL_CONFIG,
-           "gaps": [0, 1, 2, 13], "weights": STORED},
-    "v3": {"format": baseline.MODEL_FORMAT, "layout": baseline.FEATURE_LAYOUT,
-           "config": BAD_MODEL_CONFIG, "gaps": [0, 1, 2, 13], "weights": _b64(STORED_BYTES)},
-}
-V3_WEIGHTS = BAD_MODEL_PAYLOADS["v3"]["weights"]
+BAD_MODEL = {"format": baseline.MODEL_FORMAT, "layout": baseline.FEATURE_LAYOUT,
+             "config": BAD_MODEL_CONFIG, "gaps": [0, 1, 2, 13], "weights": _b64(STORED_BYTES)}
+V3_WEIGHTS = BAD_MODEL["weights"]
 
-# case -> (payload it edits, edit turning that payload into file text, exit code of `predict`)
+# case -> (edit turning the payload into file text, exit code of `predict`)
 BAD_MODELS = {
-    "unchanged": ("v2", json.dumps, 0),
-    "int learning_rate": ("v2", _with("config", "learning_rate", 1), 0),  # JSON has one number type
-    "truncated json": ("v2", lambda p: json.dumps(p)[:100], 2),
-    "top-level list": ("v2", lambda p: json.dumps([p]), 2),
-    "list nested too deep": ("v2", lambda p: "[" * 100_000 + "]" * 100_000, 2),
-    "unknown config key": ("v2", _with("config", "bogus", 1), 3),
-    "no config": ("v2", lambda p: json.dumps({k: v for k, v in p.items() if k != "config"}), 3),
-    "string weight": ("v2", _with("weights", 3, "0.5"), 3),
-    "string epochs": ("v2", _with("config", "epochs", "3"), 3),
-    "bool epochs": ("v2", _with("config", "epochs", True), 3),
-    "zero max_tokens": ("v2", _with("config", "max_tokens", 0), 3),
-    "nan weight": ("v2", _with("weights", 0, float("nan")), 3),
-    "extra top-level key": ("v2", lambda p: json.dumps({**p, "hash_bits": 4}), 3),
-    "negative gap": ("v2", _with("gaps", 2, -1), 3),
-    "bool gap": ("v2", _with("gaps", 1, True), 3),
-    "float gap": ("v2", _with("gaps", 1, 1.0), 3),
-    "gap past the end": ("v2", _with("gaps", 3, 14), 3),
-    "gap of 2**70": ("v2", _with("gaps", 0, 2**70), 3),
-    "fewer gaps than weights": ("v2", lambda p: json.dumps({**p, "gaps": p["gaps"][:-1]}), 3),
-    "int of 5000 digits": ("v2", lambda p: json.dumps(p).replace('"seed": 0', '"seed": ' + "9" * 5000), 2),
-    "v1 unchanged": ("v1", json.dumps, 0),
-    "v1 hash_bits differs from config": ("v1", _set(hash_bits=5), 3),
-    "v1 float hash_bits": ("v1", _set(hash_bits=4.0), 3),
-    "v1 extra top-level key": ("v1", _set(gaps=[]), 3),
-    "v3 unchanged": ("v3", json.dumps, 0),
-    "v3 weights a list": ("v3", _set(weights=STORED), 3),
-    "v3 weights not ASCII": ("v3", _set(weights=V3_WEIGHTS[:-4] + "\u00e9" + V3_WEIGHTS[-3:]), 3),
-    "v3 whitespace in weights": ("v3", _set(weights=V3_WEIGHTS[:8] + " " + V3_WEIGHTS[8:]), 3),
-    "v3 newline after weights": ("v3", _set(weights=V3_WEIGHTS + "\n"), 3),
-    "v3 padding missing": ("v3", _set(weights=V3_WEIGHTS.rstrip("=")), 3),
-    "v3 padding doubled": ("v3", _set(weights=V3_WEIGHTS + "="), 3),
-    "v3 7 bytes": ("v3", _set(weights=_b64(STORED_BYTES[:7])), 3),
-    "v3 9 bytes": ("v3", _set(weights=_b64(STORED_BYTES[:8] + b"\0")), 3),
-    "v3 one weight fewer than gaps": ("v3", _set(weights=_b64(STORED_BYTES[:-8])), 3),
-    "v3 nan weight": ("v3", _set(weights=_b64(struct.pack("<4d", 0.5, math.nan, 1.0, 2.0))), 3),
-    "v3 inf weight": ("v3", _set(weights=_b64(struct.pack("<4d", 0.5, 1.0, 1.0, -math.inf))), 3),
-    "v3 gap past the end": ("v3", _set(gaps=[0, 1, 2, 14]), 3),
-    "v3 unknown layout": ("v3", _set(layout=baseline.FEATURE_LAYOUT + ";x"), 3),
-    "v3 no layout": ("v3", lambda p: json.dumps({k: v for k, v in p.items() if k != "layout"}), 3),
-    "v3 extra top-level key": ("v3", _set(hash_bits=4), 3),
-    "v3 format tag of a list": ("v3", _set(format=[baseline.MODEL_FORMAT]), 3),
+    "int learning_rate": (_with("config", "learning_rate", 1), 0),  # JSON has one number type
+    "truncated json": (lambda p: json.dumps(p)[:100], 2),
+    "top-level list": (lambda p: json.dumps([p]), 2),
+    "list nested too deep": (lambda p: "[" * 100_000 + "]" * 100_000, 2),
+    "unknown config key": (_with("config", "bogus", 1), 3),
+    "no config": (lambda p: json.dumps({k: v for k, v in p.items() if k != "config"}), 3),
+    "string epochs": (_with("config", "epochs", "3"), 3),
+    "bool epochs": (_with("config", "epochs", True), 3),
+    "zero max_tokens": (_with("config", "max_tokens", 0), 3),
+    "negative gap": (_with("gaps", 2, -1), 3),
+    "bool gap": (_with("gaps", 1, True), 3),
+    "float gap": (_with("gaps", 1, 1.0), 3),
+    "gap past the end": (_with("gaps", 0, 1), 3),  # each later weight moves a slot too
+    "gap of 2**70": (_with("gaps", 0, 2**70), 3),
+    "fewer gaps than weights": (lambda p: json.dumps({**p, "gaps": p["gaps"][:-1]}), 3),
+    "int of 5000 digits": (lambda p: json.dumps(p).replace('"seed": 0', '"seed": ' + "9" * 5000), 2),
+    "v3 unchanged": (json.dumps, 0),
+    "v3 weights a list": (_set(weights=STORED), 3),
+    "v3 weights not ASCII": (_set(weights=V3_WEIGHTS[:-4] + "\u00e9" + V3_WEIGHTS[-3:]), 3),
+    "v3 whitespace in weights": (_set(weights=V3_WEIGHTS[:8] + " " + V3_WEIGHTS[8:]), 3),
+    "v3 newline after weights": (_set(weights=V3_WEIGHTS + "\n"), 3),
+    "v3 padding missing": (_set(weights=V3_WEIGHTS.rstrip("=")), 3),
+    "v3 padding doubled": (_set(weights=V3_WEIGHTS + "="), 3),
+    "v3 7 bytes": (_set(weights=_b64(STORED_BYTES[:7])), 3),
+    "v3 9 bytes": (_set(weights=_b64(STORED_BYTES[:8] + b"\0")), 3),
+    "v3 one weight fewer than gaps": (_set(weights=_b64(STORED_BYTES[:-8])), 3),
+    "v3 nan weight": (_set(weights=_b64(struct.pack("<4d", 0.5, math.nan, 1.0, 2.0))), 3),
+    "v3 inf weight": (_set(weights=_b64(struct.pack("<4d", 0.5, 1.0, 1.0, -math.inf))), 3),
+    "v3 gap past the end": (_set(gaps=[0, 1, 2, 14]), 3),
+    "v3 unknown layout": (_set(layout=baseline.FEATURE_LAYOUT + ";x"), 3),
+    "v3 no layout": (lambda p: json.dumps({k: v for k, v in p.items() if k != "layout"}), 3),
+    "v3 extra top-level key": (_set(hash_bits=4), 3),
+    "v3 format tag of a list": (_set(format=[baseline.MODEL_FORMAT]), 3),
+}
+
+# The same model in the v1 (dense) and v2 (JSON-number weights) files,
+# which no release reads any more.
+OLD_MODELS = {
+    "wikilink-baseline-v1": {"config": BAD_MODEL_CONFIG, "hash_bits": 4,
+                             "weights": [0.5, 0.0, -0.25, 0.0, 0.0, -0.0] + [0.0] * 13 + [2.0]},
+    "wikilink-baseline-v2": {"config": BAD_MODEL_CONFIG, "gaps": [0, 1, 2, 13], "weights": STORED},
 }
 
 
@@ -816,17 +836,19 @@ def _predict_model(fixture_dir, tmp_path, text: bytes) -> tuple[int, str]:
 
 @pytest.mark.parametrize("case", BAD_MODELS)
 def test_bad_model_file_fails_closed(case, fixture_dir, tmp_path):
-    version, edit, expected = BAD_MODELS[case]
-    code, err = _predict_model(fixture_dir, tmp_path, edit(copy.deepcopy(BAD_MODEL_PAYLOADS[version])).encode())
+    edit, expected = BAD_MODELS[case]
+    code, err = _predict_model(fixture_dir, tmp_path, edit(copy.deepcopy(BAD_MODEL)).encode())
     assert code == expected, err
     assert "Traceback" not in err
     assert code == 0 or "error [" in err
 
 
-def test_bad_model_payloads_hold_one_model():
-    """The v1, v2 and v3 payloads the cases edit are the same model."""
-    models = [baseline.load_model(io.StringIO(json.dumps(p))) for p in BAD_MODEL_PAYLOADS.values()]
-    assert len({m.weights.tobytes() for m in models}) == 1
+@pytest.mark.parametrize("old", OLD_MODELS)
+def test_old_model_format_exits_3(old, fixture_dir, tmp_path):
+    text = json.dumps({"format": old, **OLD_MODELS[old]}).encode()
+    code, err = _predict_model(fixture_dir, tmp_path, text)
+    assert code == 3
+    assert f"error [validation]: unsupported model format '{old}'" in err
 
 
 def _fuzzed(data, valid: bytes, starts: list[int], span: int) -> bytes:
@@ -856,7 +878,7 @@ def test_fuzzed_model_file_fails_closed(data, fixture_dir, tmp_path):
     """`predict` on arbitrary bytes, or on byte-level mutations of a valid
     v3 file, exits 0, 2 or 3, never with a traceback. Half the mutations
     land in the gaps and weights, the last sixth of the file."""
-    valid = json.dumps(BAD_MODEL_PAYLOADS["v3"]).encode()
+    valid = json.dumps(BAD_MODEL).encode()
     text = _fuzzed(data, valid, [0, valid.index(b'"gaps"')], len(valid))
     code, err = _predict_model(fixture_dir, tmp_path, text)
     assert code in (0, 2, 3), err
