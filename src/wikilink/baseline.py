@@ -207,9 +207,9 @@ class NodeTable:
 
     Per row the table keeps its masked P and H streams, laid out alike as
     its unigram slots then its bigram slots, and its distinct token ids
-    (renumbered 0..V-1 in first-seen order), ascending, with their
-    counts, all int32 (hash_bits <= 30). `rows` lays out the feature rows
-    of pairs from these alone.
+    (the table's vocabulary indexes, used as they are), ascending, with
+    their counts, all int32 (hash_bits <= 30). `rows` lays out the feature
+    rows of pairs from these alone.
     """
 
     def __init__(self, tokens: Tokens, hash_bits: int):
@@ -217,7 +217,7 @@ class NodeTable:
         self.words = list(tokens.vocab)  # token id -> token
         self.radix = max(len(self.words), 1)
         self.lens = np.fromiter(map(len, tokens.ids), dtype=np.int64, count=len(tokens.ids))
-        ids = tokens.ranks()[np.concatenate(tokens.ids or [np.zeros(0, dtype=np.int32)])]
+        ids = np.concatenate(tokens.ids or [np.zeros(0, dtype=np.int32)])
         starts = np.cumsum(self.lens) - self.lens
         # A position heads a bigram unless it is the last of its row.
         is_head = np.ones(ids.shape[0], dtype=bool)
@@ -258,9 +258,9 @@ class NodeTable:
                             h_rows * self.radix + self.set_ids[h_pick], assume_unique=True)
         shared_rows, pick = p_rows[is_shared], p_pick[is_shared]
         shared = self.set_ids[pick]
-        # Python string order, so the feature order, and with it the float
-        # sums, does not depend on the interpreter's string hash seed. Only
-        # the distinct shared tokens are ranked.
+        # UTF-8 byte order, which is code-point order, so the feature order,
+        # and with it the float sums, does not depend on the interpreter's
+        # hash seed. Only the distinct shared tokens are ranked.
         distinct, inverse = np.unique(shared, return_inverse=True)
         words = [self.words[i] for i in distinct.tolist()]
         rank = np.empty(len(words), dtype=np.int64)
@@ -297,14 +297,14 @@ class NodeTable:
                 _ranges(self.set_starts[nodes], self.set_lens[nodes]))
 
 
-def _hash_keys(tokens: list[str], bigrams: np.ndarray, radix: int,
+def _hash_keys(tokens: list[bytes], bigrams: np.ndarray, radix: int,
                hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masked int32 slots of each token under the P, H and S namespaces,
-    [3, len(tokens)], and of each bigram (first id * radix + second id)
-    under P and H, [2, len(bigrams)]."""
-    byte_lens = np.fromiter(map(len, map(str.encode, tokens)), dtype=np.int64, count=len(tokens))
+    """Masked int32 slots of each token (its UTF-8 bytes, hashed as they
+    are) under the P, H and S namespaces, [3, len(tokens)], and of each
+    bigram (first id * radix + second id) under P and H, [2, len(bigrams)]."""
+    byte_lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     byte_starts = np.cumsum(byte_lens) - byte_lens
-    buf = np.frombuffer("".join(tokens).encode(), dtype=np.uint8)  # UTF-8
+    buf = np.frombuffer(b"".join(tokens), dtype=np.uint8)
     # FNV is a left fold, so "P\x1ftok" continues from the state after "P\x1f".
     prefixes = np.array([fnv1a_64(f"{ns}\x1f".encode()) for ns in _NAMESPACES], dtype=np.uint64)
     unigram = np.empty((len(_NAMESPACES), len(tokens)), dtype=np.uint64)  # unmasked

@@ -13,6 +13,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -49,10 +50,14 @@ def atomic_output(path: str | None):
 
 @contextlib.contextmanager
 def open_input(path: str | None):
+    """A strict UTF-8 handle on `path`, or on stdin for '-' or None; lines end at LF only."""
     if path is None or path == "-":
-        yield sys.stdin
+        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+        try:
+            yield handle
+        finally:
+            handle.detach()  # leaves the process's stdin open
     else:
-        # Split on LF only, as sys.stdin does: a bare CR is field content.
         with open(path, "r", encoding="utf-8", newline="\n") as handle:
             yield handle
 

@@ -2,43 +2,42 @@
 
 id1's cleaned text becomes the premise, id2's the hypothesis. Each side
 is whitespace-tokenized and head-truncated to max_tokens independently,
-once per node and run, into the run's token table (`Tokens`).
+once per node and run, into the run's token table (`Tokens`). A token
+is the UTF-8 bytes (`surrogatepass`) of its text, from the split to the
+hash, and its id is its index in the run's vocabulary.
 """
 
 from __future__ import annotations
 
-import re
-from itertools import count, takewhile
+from itertools import count, filterfalse
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from .dataset import PairRecord
 from .errors import ValidationError
-from .textclean import WHITESPACE_CHARS
 
-_WS_SPLIT = re.compile("[" + re.escape(WHITESPACE_CHARS) + "]+")
 _MAX_ID = np.iinfo(np.int32).max
 
 
-def tokenize(text: str, max_tokens: int) -> tuple[str, ...]:
-    """The first max_tokens tokens between maximal whitespace runs. Of the
-    max_tokens + 2 pieces at most, only the first and the last can be empty."""
-    return tuple([t for t in _WS_SPLIT.split(text, max_tokens + 1) if t][:max_tokens])
+def tokenize(text: str, max_tokens: int) -> list[bytes]:
+    """The first max_tokens tokens between maximal whitespace runs, as UTF-8 bytes:
+    `bytes.split()` splits on exactly the six `textclean.WHITESPACE_CHARS`, and a
+    byte below 0x80 never sits inside a multi-byte character (RFC 3629)."""
+    return text.encode("utf-8", "surrogatepass").split(None, max_tokens)[:max_tokens]
 
 
 class Tokens:
     """The run's token table: one vocabulary, and each node's tokens, cut at
-    max_tokens, as one int32 array of token ids (a row). A token's id is
-    the run position where it was first seen, so ids are unique but not
-    consecutive, and a row maps its tokens in one `dict.setdefault` pass."""
+    max_tokens, as one int32 array of token ids (a row). A new token gets
+    the next id, so ids are 0..V-1 in first-seen order: a token's id is
+    its index in `list(vocab)`."""
 
     def __init__(self, max_tokens: int):
         self.max_tokens = max_tokens
-        self.vocab: dict[str, int] = {}  # token -> id, in first-seen order
-        self.rows: dict[int, int] = {}   # node id -> row
-        self.ids: list[np.ndarray] = []  # row -> its token ids
-        self.positions = 0               # tokens held over all rows
+        self.vocab: dict[bytes, int] = {}  # token -> id, in first-seen order
+        self.rows: dict[int, int] = {}     # node id -> row
+        self.ids: list[np.ndarray] = []    # row -> its token ids
 
     def row(self, node_id: int, text: str) -> int:
         """The row of node `node_id`, whose text is `text`; tokenized on first use."""
@@ -46,20 +45,15 @@ class Tokens:
             self.rows[node_id] = self.append(tokenize(text, self.max_tokens))
         return self.rows[node_id]
 
-    def append(self, tokens: Sequence[str]) -> int:
+    def append(self, tokens: Sequence[bytes]) -> int:
         """Add a row holding `tokens` as they are, and return it."""
-        if self.positions + len(tokens) > _MAX_ID:
-            raise ValidationError(f"more than {_MAX_ID} tokens in one run")
-        self.ids.append(np.fromiter(map(self.vocab.setdefault, tokens, count(self.positions)),
-                                    dtype=np.int32, count=len(tokens)))
-        self.positions += len(tokens)
+        vocab = self.vocab
+        # `update` inserts each pair as it is drawn, so `count` numbers only first sightings.
+        vocab.update(zip(filterfalse(vocab.__contains__, tokens), count(len(vocab))))
+        if len(vocab) > _MAX_ID:
+            raise ValidationError(f"more than {_MAX_ID} distinct tokens in one run")
+        self.ids.append(np.fromiter(map(vocab.__getitem__, tokens), np.int32, len(tokens)))
         return len(self.ids) - 1
-
-    def ranks(self) -> np.ndarray:
-        """Token id -> the token's place in the vocabulary (0..V-1), as a lookup array."""
-        ranks = np.zeros(self.positions, dtype=np.int32)
-        ranks[np.fromiter(self.vocab.values(), dtype=np.int64)] = np.arange(len(self.vocab))
-        return ranks
 
 
 class SentencePair(NamedTuple):
@@ -89,12 +83,12 @@ def build_pair(pair: PairRecord, premise_text: str, hypothesis_text: str,
 
 def write_prepared(pairs: Sequence[SentencePair], tokens: Tokens, stream: IO) -> int:
     """One record per line: pair_id, label or `-`, premise, hypothesis
-    (tabs); each side is its node's tokens in `tokens`, joined by spaces.
-    Ids grow in `tokens.vocab`'s order: only its prefix up to these rows' largest id is read."""
+    (tabs); each side is its node's tokens in `tokens`, joined by spaces
+    and decoded once."""
+    words = list(tokens.vocab)  # token id -> token
     rows = dict.fromkeys(row for sp in pairs for row in (sp.premise, sp.hypothesis))
-    last = max((int(tokens.ids[row].max()) for row in rows if len(tokens.ids[row])), default=-1)
-    words = dict(zip(takewhile(last.__ge__, tokens.vocab.values()), tokens.vocab))
-    sides = {row: " ".join(map(words.__getitem__, tokens.ids[row].tolist())) for row in rows}
+    sides = {row: b" ".join(map(words.__getitem__, tokens.ids[row].tolist())).decode(
+        "utf-8", "surrogatepass") for row in rows}
     for sp in pairs:
         label = "-" if sp.label is None else str(sp.label)
         stream.write(f"{sp.pair_id}\t{label}\t{sides[sp.premise]}\t{sides[sp.hypothesis]}\n")

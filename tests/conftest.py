@@ -43,13 +43,14 @@ def limit_zeros(monkeypatch):
 @pytest.fixture(scope="session")
 def fixture_sentence_pairs():
     """The bundled 200-pair training file, cleaned and tokenized, as `TuplePair`s."""
-    from oracles import TuplePair
-    from wikilink import baseline, dataset, pairs, textclean
+    from oracles import TuplePair, reference_tokenize
+    from wikilink import baseline, dataset, textclean
 
     with open(FIXTURE_DIR / "nodes.tsv") as f:
         table = dataset.build_node_table(dataset.parse_nodes(f))
     budget = baseline.TrainConfig().max_tokens
-    tokens = {i: pairs.tokenize(textclean.clean(n.text)[0], budget) for i, n in table.items()}
+    tokens = {i: tuple(reference_tokenize(textclean.clean(n.text)[0])[:budget])
+              for i, n in table.items()}
     with open(FIXTURE_DIR / "train.csv") as f:
         return [TuplePair(p.pair_id, tokens[p.id1], tokens[p.id2], p.label)
                 for p in dataset.parse_pairs(f, labeled=True)]

@@ -11,11 +11,11 @@ product, loss and AdamW formulas below are the scalar or out-of-place
 versions that the library's array code must match bit for bit; the
 punctuation filter and the whitespace collapse (a regex over maximal
 runs) work on code points where the library cuts UTF-8 bytes; the
-tokenizer splits the whole text where the library stops after the
-token budget. The pairs-CSV writer lives here because only the
-tests write pairs files. The oracles take a pair as token tuples
-(`TuplePair`); `table_pairs` turns such pairs into the library's, over
-one token table.
+tokenizer splits the whole text with a regex where the library splits
+its UTF-8 bytes and stops after the token budget. The pairs-CSV writer
+lives here because only the tests write pairs files. The oracles take a
+pair as `str` token tuples (`TuplePair`); `table_pairs` turns such pairs
+into the library's, over one token table of UTF-8 byte tokens.
 """
 
 from __future__ import annotations
@@ -193,13 +193,14 @@ class TuplePair(NamedTuple):
 
 def table_pairs(items: Sequence[TuplePair]) -> tuple[Tokens, list[SentencePair]]:
     """One token table holding each distinct side of `items` as a row,
-    tokens as they are, and the items as pairs over it."""
+    each token as its UTF-8 bytes (`surrogatepass`), and the items as
+    pairs over it."""
     tokens = Tokens(max_tokens=1)  # rows are appended whole, never cut
     rows: dict[tuple[str, ...], int] = {}
 
     def row(side):
         if side not in rows:
-            rows[side] = tokens.append(side)
+            rows[side] = tokens.append([t.encode("utf-8", "surrogatepass") for t in side])
         return rows[side]
 
     return tokens, [SentencePair(it.pair_id, row(tuple(it.premise_tokens)),
@@ -213,7 +214,8 @@ def reference_featurize(pair: TuplePair, hash_bits: int) -> dict[int, float]:
     features: dict[int, float] = {}
 
     def bump(namespace: str, token: str) -> None:
-        idx = fnv1a_64(f"{namespace}\x1f{token}".encode("utf-8")) & ((1 << hash_bits) - 1)
+        key = f"{namespace}\x1f{token}".encode("utf-8", "surrogatepass")
+        idx = fnv1a_64(key) & ((1 << hash_bits) - 1)
         features[idx] = features.get(idx, 0.0) + 1.0
 
     for namespace, tokens in (("P", pair.premise_tokens), ("H", pair.hypothesis_tokens)):

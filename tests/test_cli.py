@@ -59,7 +59,9 @@ def src_env(**extra):
 def run_cli(argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         assert monkeypatch is not None
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # Bytes underneath, as the process's stdin has: `open_input` reads its buffer.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin_text.encode()),
+                                                          encoding="utf-8"))
     return main(argv)
 
 
@@ -646,6 +648,45 @@ def test_bare_cr_reads_alike_by_path_and_stdin(case, tmp_path):
     assert runs[0].stdout == runs[1].stdout
     assert out in runs[0].stdout
     assert b"Traceback" not in runs[0].stderr + runs[1].stderr
+
+
+# case -> (the subcommand and its input flag, input bytes holding 0xFF, the other arguments)
+INVALID_UTF8_INPUTS = {
+    "clean": (["clean", "--input"], b"1\tab\xff c\n2\tx y\n", []),
+    "train nodes": (["train", "--nodes"], b"1\tab\xff c\n2\tx y\n",
+                    ["--pairs", "pairs.csv", "--model", "model.json"]),
+    "submit predictions": (["submit", "--predictions"], b"id,prob,label\nt\xff1,0.5,1\n",
+                           ["--output", "submission.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_UTF8_INPUTS)
+def test_invalid_utf8_exits_2_by_path_and_stdin(case, tmp_path):
+    """Invalid UTF-8 is a parse error whether the input is a path or the
+    process's own stdin, which in UTF-8 mode decodes with surrogateescape."""
+    argv, data, rest = INVALID_UTF8_INPUTS[case]
+    (tmp_path / "input").write_bytes(data)
+    (tmp_path / "pairs.csv").write_text("id,id1,id2,label\np,1,2,1\n")
+    for source in ("input", "-"):
+        run = subprocess.run([sys.executable, "-m", "wikilink.cli", *argv, source, *rest],
+                             input=data, capture_output=True, cwd=tmp_path,
+                             env=src_env(PYTHONUTF8="1"))
+        assert run.returncode == 2, (source, run.stderr)
+        assert b"error [parse]" in run.stderr and b"Traceback" not in run.stderr
+        assert run.stdout == b""
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "submission.csv").exists()
+
+
+def test_vocabulary_bound_exits_3(fixture_dir, tmp_path, monkeypatch, capsys):
+    """A run with more distinct tokens than int32 ids hold is a validation error."""
+    monkeypatch.setattr(pairs, "_MAX_ID", 3)
+    model = tmp_path / "model.json"
+    assert main(["train", "--pairs", str(fixture_dir / "train.csv"),
+                 "--nodes", str(fixture_dir / "nodes.tsv"), "--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert "error [validation]: more than 3 distinct tokens" in err and "Traceback" not in err
+    assert not model.exists()
 
 
 def test_unallocatable_hash_bits_exit_3(fixture_dir, tmp_path, limit_zeros, capsys):

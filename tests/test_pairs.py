@@ -1,21 +1,33 @@
 import io
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wikilink import pairs
 from wikilink.dataset import PairRecord
+from wikilink.errors import ValidationError
 from wikilink.pairs import (
     Tokens,
     build_pair,
     tokenize,
     write_prepared,
 )
+from wikilink.textclean import WHITESPACE_CHARS
 
 from oracles import reference_tokenize
 
 texts = st.text(alphabet="ab \t\n", max_size=40)
+# The separators, the characters that Unicode counts as space but the
+# tokenizer does not, and characters of each UTF-8 length and a lone surrogate.
+SHORT_ALPHABET = [*WHITESPACE_CHARS, "\x1c", "\x85", "\xa0", "\u2028",
+                  "a", "é", "日", "😀", "\ud800"]
+
+
+def decoded(tokens):
+    return [t.decode("utf-8", "surrogatepass") for t in tokens]
 
 
 class TestTokenize:
@@ -29,24 +41,33 @@ class TestTokenize:
         ],
     )
     def test_examples(self, text, expected):
-        assert tokenize(text, 128) == tuple(expected)
+        assert tokenize(text, 128) == [t.encode() for t in expected]
         assert reference_tokenize(text) == expected
 
     @given(texts, st.integers(1, 8))
     def test_no_empty_or_whitespace_tokens(self, text, k):
-        for tok in tokenize(text, k):
+        for tok in decoded(tokenize(text, k)):
             assert tok
             assert not any(c.isspace() for c in tok)
 
     @given(st.text(alphabet="ab \t\r\n\f\v\x85", max_size=40), st.integers(1, 8))
     def test_bounded_split_matches_full_split(self, text, k):
-        assert tokenize(text, k) == tuple(reference_tokenize(text)[:k])
+        assert decoded(tokenize(text, k)) == reference_tokenize(text)[:k]
+
+    def test_every_short_string_matches_oracle(self):
+        """The byte split equals the regex split on every string of up to
+        three characters over SHORT_ALPHABET, at every budget up to three."""
+        for n in range(4):
+            for chars in product(SHORT_ALPHABET, repeat=n):
+                text = "".join(chars)
+                for k in (1, 2, 3):
+                    assert decoded(tokenize(text, k)) == reference_tokenize(text)[:k], (text, k)
 
 
 def sides(sp):
-    """The premise and hypothesis of sp as token tuples, through its table's vocabulary."""
-    words = dict(zip(sp.tokens.vocab.values(), sp.tokens.vocab))
-    return tuple(tuple(words[i] for i in ids.tolist())
+    """The premise and hypothesis of sp as decoded token tuples, through its table's vocabulary."""
+    words = list(sp.tokens.vocab)
+    return tuple(tuple(decoded(words[i] for i in ids.tolist()))
                  for ids in (sp.premise_tokens, sp.hypothesis_tokens))
 
 
@@ -101,11 +122,19 @@ class TestTokens:
         assert sp.premise != sp.hypothesis
         assert sp.premise_tokens.tolist() == sp.hypothesis_tokens.tolist() == [0, 1, 0]
 
-    def test_id_is_first_seen_position(self):
+    def test_id_is_vocabulary_index(self):
         tokens = Tokens(128)
         build_pair(PairRecord("p", 1, 2, None), "a b a", "c b", tokens)
-        assert tokens.vocab == {"a": 0, "b": 1, "c": 3}
-        assert [ids.tolist() for ids in tokens.ids] == [[0, 1, 0], [3, 1]]
+        assert tokens.vocab == {b"a": 0, b"b": 1, b"c": 2}
+        assert [ids.tolist() for ids in tokens.ids] == [[0, 1, 0], [2, 1]]
+
+    def test_vocabulary_bound(self, monkeypatch):
+        """Ids are int32: a run with more distinct tokens than they hold is a validation error."""
+        monkeypatch.setattr(pairs, "_MAX_ID", 3)
+        tokens = Tokens(128)
+        build_pair(PairRecord("p", 1, 2, None), "a b a", "c b", tokens)
+        with pytest.raises(ValidationError, match="more than 3 distinct tokens"):
+            build_pair(PairRecord("q", 3, 4, None), "a d", "b", tokens)
 
 
 class TestPreparedFile:
