@@ -33,6 +33,8 @@ def log(message: str) -> None:
 def atomic_output(path: str | None):
     """Yield a text handle; stdout for '-' or None, else temp-and-rename."""
     if path is None or path == "-":
+        if sys.stdout is None:
+            raise OSError("cannot write to stdout: the process has none")
         yield sys.stdout
         return
     target = Path(path)
@@ -52,6 +54,8 @@ def atomic_output(path: str | None):
 def open_input(path: str | None):
     """A strict UTF-8 handle on `path`, or on stdin for '-' or None; lines end at LF only."""
     if path is None or path == "-":
+        if sys.stdin is None:
+            raise OSError("cannot read stdin: the process has none")
         handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
         try:
             yield handle
@@ -125,10 +129,10 @@ def _model_path(paths: dict) -> str:
 # Pipeline steps (shared by individual subcommands and `pipeline`)
 
 
-def _clean_nodes(given: dict, in_path: str | None, out_path: str | None,
-                 want_report: bool) -> dict[int, dataset.NodeRecord]:
-    """Clean every node, write the cleaned table and return it. The report
-    line adds `missing_text`: node lines with no tab, kept with empty text."""
+def _clean_nodes(given: dict, in_path: str | None,
+                 out_path: str | None) -> dict[int, dataset.NodeRecord]:
+    """Clean every node, write the cleaned table, log the report line and return
+    the table. The report adds `missing_text`: node lines with no tab, kept empty."""
     config = textclean.CleanConfig(stage_mask=tuple(
         s for s in textclean.STAGES if given["clean"].get(s, True)))
     aggregate = textclean.CleanReport()
@@ -145,14 +149,12 @@ def _clean_nodes(given: dict, in_path: str | None, out_path: str | None,
     with atomic_output(out_path) as dst:
         dataset.write_nodes(table.values(), dst)
     log(f"clean: {len(table)} nodes")
-    if want_report:
-        report = dataclasses.asdict(aggregate) | {"missing_text": counters.missing_text}
-        log("clean-report " + json.dumps(report, sort_keys=True))
+    report = dataclasses.asdict(aggregate) | {"missing_text": counters.missing_text}
+    log("clean-report " + json.dumps(report, sort_keys=True))
     return table
 
 
-def _sentence_pairs(given: dict, pairs_path: str,
-                    nodes: str | dict[int, dataset.NodeRecord], labeled: bool,
+def _sentence_pairs(given: dict, pairs_path: str, nodes: str | dict[int, dataset.NodeRecord],
                     tokens: pairs_mod.Tokens) -> list[pairs_mod.SentencePair]:
     """Join a pairs file against `nodes` (a node table, or a nodes file path)
     and build each sentence pair once, over the run's token table `tokens`."""
@@ -162,7 +164,7 @@ def _sentence_pairs(given: dict, pairs_path: str,
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
         joined = dataset.join_pairs(
-            dataset.parse_pairs(src, labeled=labeled), nodes,
+            dataset.parse_pairs(src), nodes,
             strict=given["run"].get("strict_join", True), counters=counters,
         )
         built = [pairs_mod.build_pair(pair, n1.text, n2.text, tokens)
@@ -202,13 +204,13 @@ def _submit(predictions: list[baseline.Prediction], out_path: str | None) -> Non
 
 
 def cmd_clean(args: argparse.Namespace, given: dict) -> int:
-    _clean_nodes(given, args.input, args.output, args.report)
+    _clean_nodes(given, args.input, args.output)
     return 0
 
 
 def cmd_stats(args: argparse.Namespace, given: dict) -> int:
     with open_input(args.pairs) as src:
-        stats = dataset.label_stats(dataset.parse_pairs(src, labeled=True))
+        stats = dataset.label_stats(dataset.parse_pairs(src))
     print(f"{'':12s}{'Non-related (0)':>18s}{'Related (1)':>14s}")
     print(f"{'Frequency':12s}{stats.count_0:>18,d}{stats.count_1:>14,d}")
     print(f"{'Percentage':12s}{stats.pct_0:>17.2f}%{stats.pct_1:>13.2f}%")
@@ -218,7 +220,7 @@ def cmd_stats(args: argparse.Namespace, given: dict) -> int:
 
 def cmd_prepare(args: argparse.Namespace, given: dict) -> int:
     tokens = pairs_mod.Tokens(baseline.TrainConfig(**given["train"]).max_tokens)
-    built = _sentence_pairs(given, args.pairs, args.nodes, not args.unlabeled, tokens)
+    built = _sentence_pairs(given, args.pairs, args.nodes, tokens)
     with atomic_output(args.output) as dst:
         pairs_mod.write_prepared(built, tokens, dst)
     return 0
@@ -227,24 +229,24 @@ def cmd_prepare(args: argparse.Namespace, given: dict) -> int:
 def cmd_train(args: argparse.Namespace, given: dict) -> int:
     config = baseline.TrainConfig(**given["train"])
     tokens = pairs_mod.Tokens(config.max_tokens)
-    examples = _sentence_pairs(given, args.pairs, args.nodes, True, tokens)
+    examples = _sentence_pairs(given, args.pairs, args.nodes, tokens)
     _train(config, examples, baseline.NodeTable(tokens, config.hash_bits),
            _model_path(given["paths"]))
     return 0
 
 
 def cmd_predict(args: argparse.Namespace, given: dict) -> int:
-    """Score pairs under the model's own training settings; a setting from
-    --max-tokens or the config's [train] section must equal the model's."""
+    """Score pairs, labeled or not, under the model's own training settings;
+    a setting in the config's [train] section must equal the model's."""
     with open_input(args.model) as src:
         model = baseline.load_model(src)
     for key, value in given["train"].items():
         trained = getattr(model.config, key)
         if value != trained:
             raise ValidationError(
-                f"{key} {value} (flag or [train]) differs from the model's {key} {trained}")
+                f"[train] {key} {value} differs from the model's {key} {trained}")
     tokens = pairs_mod.Tokens(model.config.max_tokens)
-    examples = _sentence_pairs(given, args.pairs, args.nodes, args.labeled, tokens)
+    examples = _sentence_pairs(given, args.pairs, args.nodes, tokens)
     _predict(model, examples, baseline.NodeTable(tokens, model.config.hash_bits), args.output)
     return 0
 
@@ -253,7 +255,7 @@ def cmd_eval(args: argparse.Namespace, given: dict) -> int:
     with open_input(args.predictions) as src:
         predictions = list(evaluate.read_predictions(src))
     with open_input(args.pairs) as src:
-        gold = list(dataset.parse_pairs(src, labeled=True))
+        gold = list(dataset.parse_pairs(src))
     rep = evaluate.report(evaluate.confusion(predictions, gold))
     m = rep.matrix
     print(f"pairs: {m.tp + m.fp + m.tn + m.fn}  tp={m.tp} fp={m.fp} tn={m.tn} fn={m.fn}")
@@ -275,10 +277,11 @@ def cmd_submit(args: argparse.Namespace, given: dict) -> int:
 def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
     """Clean, prepare, train, predict and submit, parsing each input once.
 
-    Both pairs files are read, into one token table, before anything past
-    `nodes.clean.tsv` is written; then the cleaned nodes are dropped. One node
-    table serves training and prediction, and `prepared.tsv` is written from
-    the very list the model trains on. The model and predictions are used from
+    Both pairs files are read into one token table, and the cleaned nodes
+    dropped, before anything past `nodes.clean.tsv` is written. One node table
+    serves training and prediction. `prepared.tsv` is written from the very list
+    the model trains on, once training has accepted it, so an input error of any
+    kind leaves only `nodes.clean.tsv`. The model and predictions are used from
     memory; the JSON float round trip is exact, so this matches reading them back.
     """
     paths = given["paths"]
@@ -289,15 +292,15 @@ def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
             raise FileNotFoundError(f"{name} path does not exist: {paths[name]}")
     out = Path(paths.get("output_dir", "out"))
     config = baseline.TrainConfig(**given["train"])
-    nodes = _clean_nodes(given, paths["nodes"], str(out / "nodes.clean.tsv"), want_report=True)
+    nodes = _clean_nodes(given, paths["nodes"], str(out / "nodes.clean.tsv"))
     tokens = pairs_mod.Tokens(config.max_tokens)
-    examples = _sentence_pairs(given, paths["train_pairs"], nodes, True, tokens)
-    tests = _sentence_pairs(given, paths["test_pairs"], nodes, False, tokens)
+    examples = _sentence_pairs(given, paths["train_pairs"], nodes, tokens)
+    tests = _sentence_pairs(given, paths["test_pairs"], nodes, tokens)
     del nodes  # both files are tokenized: the cleaned text is not read again
-    with atomic_output(str(out / "prepared.tsv")) as dst:
-        pairs_mod.write_prepared(examples, tokens, dst)
     table = baseline.NodeTable(tokens, config.hash_bits)
     model = _train(config, examples, table, _model_path(paths))
+    with atomic_output(str(out / "prepared.tsv")) as dst:
+        pairs_mod.write_prepared(examples, tokens, dst)
     _submit(_predict(model, tests, table, str(out / "predictions.csv")),
             str(out / "submission.csv"))
     return 0
@@ -316,10 +319,9 @@ _FLAG_GROUPS = {
     "clean": [(f"--no-{stage}", {**_OFF, "dest": stage,
                                  "help": f"disable the {stage} cleaning stage"})
               for stage in textclean.STAGES],
-    "pairs": [("--lenient-join", {
-                  **_OFF, "dest": "strict_join",
-                  "help": "skip pairs referencing missing nodes instead of failing"}),
-              ("--max-tokens", {"type": int, "help": "per-side token budget (default 128)"})],
+    "join": [("--lenient-join", {**_OFF, "dest": "strict_join",
+                                 "help": "skip pairs with a missing node instead of failing"})],
+    "tokens": [("--max-tokens", {"type": int, "help": "per-side token budget (default 128)"})],
     "train": [("--" + key.replace("_", "-"), {"type": baseline.TRAIN_FIELD_TYPES[key]})
               for key in ("batch_size", "learning_rate", "epochs", "seed", "hash_bits",
                           "weight_decay", "decision_threshold")],
@@ -330,23 +332,19 @@ COMMANDS = {
     "clean": (cmd_clean, "clean a nodes TSV", [
         ("--input", {"default": "-", "help": "nodes TSV path or - for stdin"}),
         ("--output", {"default": "-", "help": "cleaned TSV path or - for stdout"}),
-        ("--report", {"action": "store_true", "help": "emit an aggregate cleaning report line"}),
     ], ("clean",)),
     "stats": (cmd_stats, "label statistics of a labeled pairs CSV",
               [("--pairs", _REQUIRED)], ()),
     "prepare": (cmd_prepare, "build prepared premise/hypothesis pairs", [
         ("--pairs", _REQUIRED), ("--nodes", _REQUIRED), _STDOUT,
-        ("--unlabeled", {"action": "store_true"}),
-    ], ("pairs",)),
+    ], ("join", "tokens")),
     "train": (cmd_train, "train the baseline classifier", [
         ("--pairs", _REQUIRED), ("--nodes", _REQUIRED),
         ("--model", {"help": "output model file"}),
-    ], ("pairs", "train")),
+    ], ("join", "tokens", "train")),
     "predict": (cmd_predict, "score pairs with a trained model", [
         ("--model", _REQUIRED), ("--pairs", _REQUIRED), ("--nodes", _REQUIRED), _STDOUT,
-        ("--labeled", {"action": "store_true",
-                       "help": "pairs file carries labels (evaluation runs)"}),
-    ], ("pairs",)),
+    ], ("join",)),
     "eval": (cmd_eval, "macro-F1 report for predictions vs gold", [
         ("--predictions", _REQUIRED), ("--pairs", {"required": True, "help": "labeled pairs CSV"}),
     ], ()),
@@ -355,7 +353,7 @@ COMMANDS = {
     "pipeline": (cmd_pipeline, "clean, prepare, train, predict, submit", [
         ("--nodes", {}), ("--train-pairs", {}), ("--test-pairs", {}), ("--output-dir", {}),
         ("--model", {}),
-    ], ("clean", "pairs", "train")),
+    ], ("clean", "join", "tokens", "train")),
 }
 
 

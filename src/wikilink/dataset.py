@@ -1,12 +1,13 @@
 """Streaming parsers and statistics for the competition file formats.
 
 nodes.tsv: two tab-separated columns, id and text, no quoting layer.
-pairs csv: header `id,id1,id2,label` (labeled) or `id,id1,id2` (unlabeled),
-LF or CRLF line endings; pair ids are unique and hold no tab, since they
-head the tab-separated prepared.tsv lines. Lines end at LF only; the
-CRs at the end of a line are dropped and any other CR is field content,
-so a file reads the same from a path and from stdin. Output written by
-this package is always LF.
+pairs csv: header `id,id1,id2,label` (labeled) or `id,id1,id2` (unlabeled);
+the header says which, and only the label consumers (training, label
+statistics, evaluation) reject an unlabeled file. Pair ids are unique and
+hold no tab, since they head the tab-separated prepared.tsv lines. Lines
+end at LF only; the CRs at the end of a line are dropped and any other CR
+is field content, so a file reads the same from a path and from stdin.
+Output written by this package is always LF.
 """
 
 from __future__ import annotations
@@ -103,18 +104,18 @@ def write_nodes(records: Iterable[NodeRecord], stream: IO) -> int:
     return n
 
 
-def parse_pairs(stream: IO, labeled: bool) -> Iterator[PairRecord]:
-    """Yield PairRecords in file order after exact header validation; a
-    repeated pair id or one holding a tab is fatal."""
-    expected = LABELED_HEADER if labeled else UNLABELED_HEADER
-    ncols = 4 if labeled else 3
+def parse_pairs(stream: IO) -> Iterator[PairRecord]:
+    """Yield PairRecords in file order; the exact header says whether each has a
+    label (else None). A repeated pair id or one holding a tab is fatal."""
+    expected = f"header {LABELED_HEADER!r} or {UNLABELED_HEADER!r}"
     lines = _stripped_lines(stream)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise ParseError(f"empty file, expected header {expected!r}", 1) from None
-    if header != expected:
-        raise ParseError(f"expected header {expected!r}, got {header!r}", 1)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(f"empty file, expected {expected}", 1)
+    if header not in (LABELED_HEADER, UNLABELED_HEADER):
+        raise ParseError(f"expected {expected}, got {header!r}", 1)
+    labeled = header == LABELED_HEADER
+    ncols = 4 if labeled else 3
     seen: set[str] = set()
     for line_no, line in enumerate(lines, start=2):
         if line == "":

@@ -53,4 +53,4 @@ def fixture_sentence_pairs():
               for i, n in table.items()}
     with open(FIXTURE_DIR / "train.csv") as f:
         return [TuplePair(p.pair_id, tokens[p.id1], tokens[p.id2], p.label)
-                for p in dataset.parse_pairs(f, labeled=True)]
+                for p in dataset.parse_pairs(f)]

@@ -221,11 +221,11 @@ def test_format_fidelity(fixture_dir):
 
     for name, labeled in (("train.csv", True), ("test.csv", False)):
         with open(fixture_dir / name) as f:
-            records = list(dataset.parse_pairs(f, labeled=labeled))
+            records = list(dataset.parse_pairs(f))
         buf = io.StringIO()
         write_pairs(records, buf, labeled=labeled)
         buf.seek(0)
-        assert list(dataset.parse_pairs(buf, labeled=labeled)) == records
+        assert list(dataset.parse_pairs(buf)) == records
         # and the serialization is byte-identical to the file on disk
         assert buf.getvalue() == (fixture_dir / name).read_text()
 

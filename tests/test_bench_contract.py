@@ -1,13 +1,16 @@
-"""The two places where `bench/run.py` stops itself, kept working here.
+"""The places where `bench/run.py` stops itself, kept working here.
 
 The benchmark imports `wikilink.cli` in a fresh interpreter to time
 start-up, and its `Checker` imports `wikilink.dataset` and
 `wikilink.evaluate` to check each run's artifacts; if either fails, the
-benchmark exits without its JSON line. The bench sources are loaded as
-they are, without writing bytecode next to them.
+benchmark exits without its JSON line. Its traced run (`bench/tracer.py`)
+wraps library functions by name and observes their arguments, so a
+library change can leave a per-layer metric absent. The bench sources
+are loaded and run as they are, without writing bytecode next to them.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -54,3 +57,21 @@ def test_pipeline_passes_the_benchmark_checker(bench, tmp_path):
                  "--output-dir", str(out)]) == 0
     failures, _ = run.Checker(wl, data).check(out)  # the F1 floor included
     assert failures == []
+
+
+def test_traced_pipeline_reports_every_metric(bench, tmp_path):
+    corpus, _ = bench
+    # The scale and seed of bench/selfcheck.py.
+    wl, data = corpus.WORKLOADS["train-heavy"], corpus.generate("train-heavy", 7, 0.5)
+    inputs = corpus.write_inputs(data, tmp_path / "inputs")
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "tracer.py"), "--result", str(result),
+         "--spans", str(tmp_path / "spans.tsv"), "--", "pipeline",
+         "--nodes", str(inputs["nodes.tsv"]), "--train-pairs", str(inputs["train.csv"]),
+         "--test-pairs", str(inputs["test.csv"]), *wl.flags,
+         "--output-dir", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(result.read_text())
+    assert payload["exit_code"] == 0 and payload["absent"] == []

@@ -80,7 +80,7 @@ class TestClean:
         assert capsys.readouterr().out == "1\ta,   c\n"
 
     def test_report_line(self, monkeypatch, capsys):
-        code = run_cli(["clean", "--report"], "1\t{{abc}} x\n", monkeypatch)
+        code = run_cli(["clean"], "1\t{{abc}} x\n", monkeypatch)
         assert code == 0
         err = capsys.readouterr().err
         report_line = next(l for l in err.splitlines() if l.startswith("clean-report "))
@@ -89,7 +89,7 @@ class TestClean:
 
     def test_report_counts_code_points(self, monkeypatch, capsys):
         # The span holds 2-, 3- and 4-byte characters: 7 code points, 13 UTF-8 bytes.
-        code = run_cli(["clean", "--report"], "1\t{é日😀 x}é b.\n", monkeypatch)
+        code = run_cli(["clean"], "1\t{é日😀 x}é b.\n", monkeypatch)
         assert code == 0
         out, err = capsys.readouterr()
         assert out == "1\té b\n"
@@ -99,7 +99,7 @@ class TestClean:
                 payload["output_length"]) == (11, 7, 3)
 
     def test_report_counts_node_lines_without_text(self, monkeypatch, capsys):
-        code = run_cli(["clean", "--report"], "1\tabc\n2\n3\tx y\n", monkeypatch)
+        code = run_cli(["clean"], "1\tabc\n2\n3\tx y\n", monkeypatch)
         assert code == 0
         out, err = capsys.readouterr()
         assert out == "1\tabc\n2\t\n3\tx y\n"
@@ -219,17 +219,27 @@ class TestPredictTokenBudget:
 
     def predict(self, fixture_dir, model, out, *extra):
         return main(["predict", "--model", str(model), "--pairs", str(fixture_dir / "train.csv"),
-                     "--nodes", str(fixture_dir / "nodes.tsv"), "--labeled",
+                     "--nodes", str(fixture_dir / "nodes.tsv"),
                      "--output", str(out), *extra])
 
-    def test_predict_uses_the_model_budget(self, fixture_dir, model, tmp_path):
-        assert self.predict(fixture_dir, model, tmp_path / "default.csv") == 0
-        assert self.predict(fixture_dir, model, tmp_path / "explicit.csv", "--max-tokens", "2") == 0
-        assert (tmp_path / "default.csv").read_text() == (tmp_path / "explicit.csv").read_text()
+    def test_predict_uses_the_model_budget(self, fixture_dir, model, tmp_path, monkeypatch):
+        budgets, tokenize = set(), pairs.tokenize
+
+        def recording_tokenize(text, max_tokens):
+            budgets.add(max_tokens)
+            return tokenize(text, max_tokens)
+
+        monkeypatch.setattr(pairs, "tokenize", recording_tokenize)
+        assert self.predict(fixture_dir, model, tmp_path / "p.csv") == 0
+        assert budgets == {2}
 
     def test_other_budget_rejected(self, fixture_dir, model, tmp_path, capsys):
-        assert self.predict(fixture_dir, model, tmp_path / "p.csv", "--max-tokens", "128") == 3
-        assert "max_tokens 2" in capsys.readouterr().err
+        """No flag sets predict's budget, not even to the model's own: it is a usage error."""
+        for budget in ("2", "128"):
+            with pytest.raises(SystemExit) as exc:
+                self.predict(fixture_dir, model, tmp_path / "p.csv", "--max-tokens", budget)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --max-tokens" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
     # [train] section of predict's config -> key named in the error, or None to pass.
@@ -443,7 +453,7 @@ class TestPipeline:
                     rows.append(",".join([f"r{pair_id}", id2, id1, *label]))
             (inputs / name).write_text("\n".join([header, *rows]) + "\n")
             with open(inputs / name) as f:
-                records[name] = list(dataset.parse_pairs(f, labeled=name == "train.csv"))
+                records[name] = list(dataset.parse_pairs(f))
         calls, built = [], []
         tokenize, build_pair = pairs.tokenize, pairs.build_pair
 
@@ -472,6 +482,84 @@ class TestPipeline:
                 reused += node_id in tokens_of
                 assert tokens_of.setdefault(node_id, tokens) is tokens
         assert reused == (1200 if shared else 400)
+
+
+def _without_labels(path: Path) -> str:
+    """The text of the labeled pairs file at `path`, its label column dropped."""
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines())
+
+
+class TestPairsHeader:
+    """A pairs file's header says whether it carries labels: only the steps
+    that read labels reject a file without them."""
+
+    # command -> (its arguments but the pairs file, the error for rows, for the header alone)
+    CONSUMERS = {
+        "train": (["--model", "model.json"], "pair p0 is unlabeled",
+                  "cannot train on an empty example set"),
+        "stats": ([], "pair p0 is unlabeled", "no labeled pairs to summarize"),
+        "eval": (["--predictions", "predictions.csv"], "gold pair p0 is unlabeled",
+                 "pair id coverage mismatch; prediction-only ids: p0"),
+    }
+
+    @pytest.mark.parametrize("rows", [True, False], ids=["rows", "header only"])
+    @pytest.mark.parametrize("command", CONSUMERS)
+    def test_label_consumers_reject_unlabeled_pairs(self, command, rows, fixture_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rest, for_rows, for_header = self.CONSUMERS[command]
+        text = _without_labels(fixture_dir / "train.csv")
+        Path("pairs.csv").write_text(text if rows else text.splitlines(keepends=True)[0])
+        Path("predictions.csv").write_text("id,prob,label\np0,0.5,1\n")
+        nodes = ["--nodes", str(fixture_dir / "nodes.tsv")] if command == "train" else []
+        assert main([command, "--pairs", "pairs.csv", *nodes, *rest]) == 3
+        err = capsys.readouterr().err
+        assert f"error [validation]: {for_rows if rows else for_header}" in err
+        assert "Traceback" not in err and not Path("model.json").exists()
+
+    def test_prepare_reads_unlabeled_pairs(self, fixture_dir, tmp_path):
+        out = tmp_path / "prepared.tsv"
+        assert main(["prepare", "--pairs", str(fixture_dir / "test.csv"),
+                     "--nodes", str(fixture_dir / "nodes.tsv"), "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 200 and {line.split("\t")[1] for line in lines} == {"-"}
+
+    def test_predict_ignores_the_label_column(self, artifacts, fixture_dir, tmp_path):
+        (tmp_path / "unlabeled.csv").write_text(_without_labels(fixture_dir / "train.csv"))
+        for name, pairs_file in (("labeled", fixture_dir / "train.csv"),
+                                 ("unlabeled", tmp_path / "unlabeled.csv")):
+            assert main(["predict", "--model", str(artifacts / "model.json"),
+                         "--pairs", str(pairs_file), "--nodes", str(artifacts / "nodes.clean.tsv"),
+                         "--output", str(tmp_path / f"{name}.out")]) == 0
+        labeled = (tmp_path / "labeled.out").read_bytes()
+        assert labeled == (tmp_path / "unlabeled.out").read_bytes()
+        assert len(labeled.splitlines()) == 201
+
+    def test_pipeline_with_unlabeled_train_file_writes_only_clean_nodes(self, fixture_dir,
+                                                                        tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("nodes.tsv", "test.csv"):
+            (inputs / name).write_bytes((fixture_dir / name).read_bytes())
+        (inputs / "train.csv").write_text(_without_labels(fixture_dir / "train.csv"))
+        assert main(pipeline_argv(inputs, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "error [validation]: pair p0 is unlabeled" in err and "Traceback" not in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["nodes.clean.tsv"]
+
+    def test_pipeline_with_labeled_test_file_matches_golden_digests(self, fixture_dir, tmp_path):
+        """Labels in test.csv change no artifact byte: the digests are the unlabeled file's."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("nodes.tsv", "train.csv"):
+            (inputs / name).write_bytes((fixture_dir / name).read_bytes())
+        _, *rows = (fixture_dir / "test.csv").read_text().splitlines()
+        (inputs / "test.csv").write_text(
+            "id,id1,id2,label\n" + "".join(f"{row},{k % 2}\n" for k, row in enumerate(rows)))
+        assert main(pipeline_argv(inputs, tmp_path / "out")) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ARTIFACTS}
+        assert digests == GOLDEN_SHA256
 
 
 class TestConfigFile:
@@ -678,6 +766,28 @@ def test_invalid_utf8_exits_2_by_path_and_stdin(case, tmp_path):
         assert not (tmp_path / "submission.csv").exists()
 
 
+# case -> (the arguments, the shell redirection closing fd 0 or fd 1, the stream named)
+CLOSED_STREAMS = {
+    "clean with no stdin": (["clean"], "<&-", "stdin"),
+    "stats with no stdin": (["stats", "--pairs", "-"], "<&-", "stdin"),
+    "clean with no stdout": (["clean", "--input", "nodes.tsv"], ">&-", "stdout"),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_STREAMS)
+def test_closed_std_stream_exits_4(case, tmp_path):
+    """A process started with fd 0 or fd 1 closed has no stdin or stdout
+    object: reading or writing `-` there is an io error that names it."""
+    argv, redirect, stream = CLOSED_STREAMS[case]
+    (tmp_path / "nodes.tsv").write_text("1\ta b\n")
+    run = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                          sys.executable, "-m", "wikilink.cli", *argv],
+                         capture_output=True, text=True, cwd=tmp_path, env=src_env())
+    assert run.returncode == 4, run.stderr
+    assert "error [io]: cannot " in run.stderr and stream in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_vocabulary_bound_exits_3(fixture_dir, tmp_path, monkeypatch, capsys):
     """A run with more distinct tokens than int32 ids hold is a validation error."""
     monkeypatch.setattr(pairs, "_MAX_ID", 3)
@@ -745,6 +855,11 @@ class TestUsage:
         ("prepare --no-balance", ["--pairs", "p.csv", "--nodes", "n.tsv"]),
         ("clean --max-tokens", ["3"]),
         ("clean --lenient-join", []),
+        ("clean --report", []),
+        ("prepare --unlabeled", ["--pairs", "p.csv", "--nodes", "n.tsv"]),
+        ("predict --labeled", ["--model", "m.json", "--pairs", "p.csv", "--nodes", "n.tsv"]),
+        ("predict --max-tokens",
+         ["2", "--model", "m.json", "--pairs", "p.csv", "--nodes", "n.tsv"]),
     ])
     def test_unread_flag_is_a_usage_error(self, case, rest, capsys):
         command, flag = case.split()
@@ -757,23 +872,24 @@ class TestUsage:
 
 _CONFIG = {"--config"}
 _CLEAN_FLAGS = {"--no-balance", "--no-debrace", "--no-depunct", "--no-despace"}
-_PAIR_FLAGS = {"--lenient-join", "--max-tokens"}
+_JOIN_FLAGS = {"--lenient-join"}
+_TOKEN_FLAGS = {"--max-tokens"}
 _TRAIN_FLAGS = {"--batch-size", "--learning-rate", "--epochs", "--seed", "--hash-bits",
                 "--weight-decay", "--decision-threshold"}
 # subcommand -> (its option strings besides -h/--help, the required ones)
 CLI_SURFACE = {
-    "clean": ({"--input", "--output", "--report"} | _CONFIG | _CLEAN_FLAGS, set()),
+    "clean": ({"--input", "--output"} | _CONFIG | _CLEAN_FLAGS, set()),
     "stats": ({"--pairs"}, {"--pairs"}),
-    "prepare": ({"--pairs", "--nodes", "--output", "--unlabeled"} | _CONFIG | _PAIR_FLAGS,
+    "prepare": ({"--pairs", "--nodes", "--output"} | _CONFIG | _JOIN_FLAGS | _TOKEN_FLAGS,
                 {"--pairs", "--nodes"}),
-    "train": ({"--pairs", "--nodes", "--model"} | _CONFIG | _PAIR_FLAGS | _TRAIN_FLAGS,
-              {"--pairs", "--nodes"}),
-    "predict": ({"--model", "--pairs", "--nodes", "--output", "--labeled"} | _CONFIG | _PAIR_FLAGS,
+    "train": ({"--pairs", "--nodes", "--model"} | _CONFIG | _JOIN_FLAGS | _TOKEN_FLAGS
+              | _TRAIN_FLAGS, {"--pairs", "--nodes"}),
+    "predict": ({"--model", "--pairs", "--nodes", "--output"} | _CONFIG | _JOIN_FLAGS,
                 {"--model", "--pairs", "--nodes"}),
     "eval": ({"--predictions", "--pairs"}, {"--predictions", "--pairs"}),
     "submit": ({"--predictions", "--output"}, {"--predictions"}),
     "pipeline": ({"--nodes", "--train-pairs", "--test-pairs", "--output-dir", "--model"}
-                 | _CONFIG | _CLEAN_FLAGS | _PAIR_FLAGS | _TRAIN_FLAGS, set()),
+                 | _CONFIG | _CLEAN_FLAGS | _JOIN_FLAGS | _TOKEN_FLAGS | _TRAIN_FLAGS, set()),
 }
 
 
@@ -944,7 +1060,7 @@ def fuzz_inputs(fixture_dir) -> dict[str, bytes]:
     inputs = {name: (fixture_dir / name).read_bytes()
               for name in ("nodes.tsv", "train.csv", "test.csv")}
     with open(fixture_dir / "train.csv") as f:
-        ids = [p.pair_id for p in dataset.parse_pairs(f, labeled=True)]
+        ids = [p.pair_id for p in dataset.parse_pairs(f)]
     inputs["predictions.csv"] = ("id,prob,label\n" + "".join(
         f"{pair_id},{0.25 + k % 2 / 2},{k % 2}\n" for k, pair_id in enumerate(ids))).encode()
     inputs["config.ini"] = FUZZ_CONFIG

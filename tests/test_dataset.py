@@ -60,24 +60,32 @@ class TestParseNodes:
 
 class TestParsePairs:
     def test_labeled(self):
-        recs = list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2,1\n"), labeled=True))
+        recs = list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2,1\n")))
         assert recs == [PairRecord("p0", 1, 2, 1)]
 
     def test_unlabeled(self):
-        recs = list(parse_pairs(io.StringIO("id,id1,id2\np0,1,2\n"), labeled=False))
+        recs = list(parse_pairs(io.StringIO("id,id1,id2\np0,1,2\n")))
         assert recs == [PairRecord("p0", 1, 2, None)]
 
     def test_label_domain(self):
         with pytest.raises(ValidationError, match="label"):
-            list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2,5\n"), labeled=True))
+            list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2,5\n")))
 
     def test_wrong_header(self):
         with pytest.raises(ParseError, match="header"):
-            list(parse_pairs(io.StringIO("id1,id2,label\n"), labeled=True))
+            list(parse_pairs(io.StringIO("id1,id2,label\n")))
+
+    @pytest.mark.parametrize("header", ["id,id1,id2,label,", "id,id1,id2,", "ID,id1,id2",
+                                        " id,id1,id2", "id,id2,id1,label", "id,id1,id2 "])
+    def test_any_other_header_names_both(self, header):
+        """Only the two exact headers are read; the error names each."""
+        with pytest.raises(ParseError, match="^line 1: expected header 'id,id1,id2,label' "
+                                             "or 'id,id1,id2', got "):
+            list(parse_pairs(io.StringIO(header + "\np0,1,2\n")))
 
     def test_wrong_column_count(self):
         with pytest.raises(ParseError, match="line 2"):
-            list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2\n"), labeled=True))
+            list(parse_pairs(io.StringIO("id,id1,id2,label\np0,1,2\n")))
 
     @pytest.mark.parametrize("token", ["\u00b2", "\u0661\u0662", "\uff11"])  # ², ١٢, １
     @pytest.mark.parametrize("column", [1, 2])
@@ -85,34 +93,35 @@ class TestParsePairs:
         fields = ["p0", "1", "2", "1"]
         fields[column] = token
         with pytest.raises(ParseError, match="line 2"):
-            list(parse_pairs(io.StringIO("id,id1,id2,label\n" + ",".join(fields) + "\n"),
-                             labeled=True))
+            list(parse_pairs(io.StringIO("id,id1,id2,label\n" + ",".join(fields) + "\n")))
 
     def test_crlf_accepted(self):
-        recs = list(parse_pairs(io.StringIO("id,id1,id2,label\r\np0,1,2,0\r\n"), labeled=True))
+        recs = list(parse_pairs(io.StringIO("id,id1,id2,label\r\np0,1,2,0\r\n")))
         assert recs == [PairRecord("p0", 1, 2, 0)]
 
     def test_empty_file(self):
         with pytest.raises(ParseError, match="empty"):
-            list(parse_pairs(io.StringIO(""), labeled=True))
+            list(parse_pairs(io.StringIO("")))
 
     def test_repeated_id_rejected(self):
         text = "id,id1,id2,label\np0,1,2,1\np1,1,3,0\np0,2,3,0\n"
         with pytest.raises(ValidationError, match="duplicate pair id 'p0' at line 4"):
-            list(parse_pairs(io.StringIO(text), labeled=True))
+            list(parse_pairs(io.StringIO(text)))
 
     @pytest.mark.parametrize("text,labeled", [
         ("id,id1,id2,label\np0,1,2,1\np\t1,1,3,0\n", True),
         ("id,id1,id2\np0,1,2\np\t1,1,3\n", False),
     ])
     def test_tab_in_id_rejected(self, text, labeled):
+        records = parse_pairs(io.StringIO(text))
+        assert (next(records).label is not None) == labeled  # the header says which
         with pytest.raises(ValidationError, match=r"pair id 'p\\t1' at line 3 holds a tab"):
-            list(parse_pairs(io.StringIO(text), labeled=labeled))
+            next(records)
 
     def test_streaming_is_lazy(self):
         # consuming one record must not require reading the whole stream
         stream = io.StringIO("id,id1,id2,label\n" + "p,1,2,1\n" * 10000)
-        it = parse_pairs(stream, labeled=True)
+        it = parse_pairs(stream)
         next(it)
         assert stream.tell() < 1000
 
@@ -207,7 +216,7 @@ class TestRoundTrip:
         buf = io.StringIO()
         write_pairs(records, buf, labeled=True)
         buf.seek(0)
-        assert list(parse_pairs(buf, labeled=True)) == records
+        assert list(parse_pairs(buf)) == records
 
     def test_pairs_unlabeled(self):
         records = [PairRecord("p0", 1, 2, None)]
