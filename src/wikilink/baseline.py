@@ -24,9 +24,8 @@ import binascii
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
 from itertools import chain
-from typing import IO, Iterator, Sequence, get_type_hints
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +61,7 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class _TrainFields(NamedTuple):
     batch_size: int = 128
     max_tokens: int = 128
     # 0.01 suits the linear baseline; the transformer setting from the
@@ -78,8 +76,15 @@ class TrainConfig:
     hash_bits: int = 18
     decision_threshold: float = 0.5
 
-    def __post_init__(self):
-        for key, value in asdict(self).items():
+
+class TrainConfig(_TrainFields):
+    """The training settings; construction range-checks each (ValueError)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for key, value in zip(self._fields, self):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if self.batch_size < 1:
@@ -100,29 +105,41 @@ class TrainConfig:
             raise ValueError("hash_bits must be in [1, 30]")
         if not 0 < self.decision_threshold < 1:
             raise ValueError("decision_threshold must be in (0, 1)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this: check its result too
+        return cls(*iterable)
 
 
-TRAIN_FIELD_TYPES = get_type_hints(TrainConfig)  # field name -> int or float
+# field name -> int or float, the type of its default
+TRAIN_FIELD_TYPES = {key: type(value) for key, value in TrainConfig._field_defaults.items()}
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     pair_id: str
     probability: float
     label: int
 
 
-@dataclass
 class BaselineModel:
-    config: TrainConfig
-    weights: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    loss_history: list[float] = field(default_factory=list)
-    # Two weight-sized buffers adamw_step reuses, so a step allocates nothing.
-    buffers: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    """Weights and AdamW moments under a training config."""
+
+    __slots__ = ("config", "weights", "m", "v", "step", "loss_history", "buffers")
+
+    def __init__(self, config: TrainConfig, weights: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 step: int = 0, loss_history: list[float] | None = None):
+        self.config = config
+        self.weights = weights
+        self.m = m
+        self.v = v
+        self.step = step
+        self.loss_history = [] if loss_history is None else loss_history
+        # Two weight-sized buffers adamw_step reuses, so a step allocates nothing.
+        self.buffers: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __repr__(self):
+        return f"BaselineModel(config={self.config!r}, dim={self.dim}, step={self.step})"
 
     @classmethod
     def zeros(cls, config: TrainConfig) -> "BaselineModel":
@@ -148,14 +165,19 @@ def _zero_vectors(hash_bits: int, n: int) -> list[np.ndarray]:
                               f"{n} weight vectors, more than this host can allocate") from None
 
 
-@dataclass(frozen=True, eq=False)
 class FeatureRows:
     """Sparse rows in CSR form: row r is `indices[indptr[r]:indptr[r + 1]]`
     with the matching `values`."""
 
-    indptr: np.ndarray   # int64, one more than the number of rows
-    indices: np.ndarray  # int64 feature slots
-    values: np.ndarray   # float64
+    __slots__ = ("indptr", "indices", "values")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray):
+        self.indptr = indptr    # int64, one more than the number of rows
+        self.indices = indices  # int64 feature slots
+        self.values = values    # float64
+
+    def __repr__(self):
+        return f"FeatureRows({len(self)} rows, {self.indices.shape[0]} entries)"
 
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1
@@ -548,7 +570,7 @@ def save_model(model: BaselineModel, stream: IO) -> None:
     stream.write(json.dumps({
         "format": MODEL_FORMAT,
         "layout": FEATURE_LAYOUT,
-        "config": asdict(model.config),
+        "config": model.config._asdict(),
         "gaps": (np.diff(stored, prepend=-1) - 1).tolist(),
         "weights": binascii.b2a_base64(raw, newline=False).decode("ascii"),
     }, separators=(",", ":")) + "\n")

@@ -10,9 +10,7 @@ into place only on success. Exit codes: 0 ok, 2 parse, 3 validation,
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -90,6 +88,8 @@ def settings(args: argparse.Namespace) -> dict[str, dict]:
     path = getattr(args, "config", None)
     try:
         if path:
+            import configparser  # only a run with --config reads INI
+
             parser = configparser.ConfigParser(interpolation=None)
             # An unopenable file is an OSError (io). A UnicodeDecodeError is a ValueError: catch it
             # here, or the handler below calls it a bad setting.
@@ -149,7 +149,7 @@ def _clean_nodes(given: dict, in_path: str | None,
     with atomic_output(out_path) as dst:
         dataset.write_nodes(table.values(), dst)
     log(f"clean: {len(table)} nodes")
-    report = dataclasses.asdict(aggregate) | {"missing_text": counters.missing_text}
+    report = aggregate.counts() | {"missing_text": counters.missing_text}
     log("clean-report " + json.dumps(report, sort_keys=True))
     return table
 
@@ -203,6 +203,12 @@ def _submit(predictions: list[baseline.Prediction], out_path: str | None) -> Non
 # Subcommand handlers: each gets the parsed flags and the settings given
 
 
+def _print_lines(*lines: str) -> None:
+    """Print a report to stdout; a process with no stdout is an io error."""
+    with atomic_output(None) as out:
+        out.write("".join(line + "\n" for line in lines))
+
+
 def cmd_clean(args: argparse.Namespace, given: dict) -> int:
     _clean_nodes(given, args.input, args.output)
     return 0
@@ -211,10 +217,10 @@ def cmd_clean(args: argparse.Namespace, given: dict) -> int:
 def cmd_stats(args: argparse.Namespace, given: dict) -> int:
     with open_input(args.pairs) as src:
         stats = dataset.label_stats(dataset.parse_pairs(src))
-    print(f"{'':12s}{'Non-related (0)':>18s}{'Related (1)':>14s}")
-    print(f"{'Frequency':12s}{stats.count_0:>18,d}{stats.count_1:>14,d}")
-    print(f"{'Percentage':12s}{stats.pct_0:>17.2f}%{stats.pct_1:>13.2f}%")
-    print("stats " + json.dumps(dataclasses.asdict(stats), sort_keys=True))
+    _print_lines(f"{'':12s}{'Non-related (0)':>18s}{'Related (1)':>14s}",
+                 f"{'Frequency':12s}{stats.count_0:>18,d}{stats.count_1:>14,d}",
+                 f"{'Percentage':12s}{stats.pct_0:>17.2f}%{stats.pct_1:>13.2f}%",
+                 "stats " + json.dumps(stats._asdict(), sort_keys=True))
     return 0
 
 
@@ -256,14 +262,17 @@ def cmd_eval(args: argparse.Namespace, given: dict) -> int:
         predictions = list(evaluate.read_predictions(src))
     with open_input(args.pairs) as src:
         gold = list(dataset.parse_pairs(src))
-    rep = evaluate.report(evaluate.confusion(predictions, gold))
-    m = rep.matrix
-    print(f"pairs: {m.tp + m.fp + m.tn + m.fn}  tp={m.tp} fp={m.fp} tn={m.tn} fn={m.fn}")
-    print(f"class 0: precision={rep.precision_0:.4f} recall={rep.recall_0:.4f} f1={rep.f1_0:.4f}")
-    print(f"class 1: precision={rep.precision_1:.4f} recall={rep.recall_1:.4f} f1={rep.f1_1:.4f}")
-    print(f"macro F1: {rep.macro_f1:.5f}")
-    payload = dataclasses.asdict(rep)
-    print("eval " + json.dumps(payload, sort_keys=True))
+    m = evaluate.confusion(predictions, gold)
+    if not gold:  # the ids matched, so neither file holds a pair: there is nothing to score
+        raise ValidationError("no pairs to evaluate")
+    rep = evaluate.report(m)
+    payload = rep._asdict() | {"matrix": m._asdict()}  # the matrix as an object, not a list
+    _print_lines(
+        f"pairs: {m.tp + m.fp + m.tn + m.fn}  tp={m.tp} fp={m.fp} tn={m.tn} fn={m.fn}",
+        f"class 0: precision={rep.precision_0:.4f} recall={rep.recall_0:.4f} f1={rep.f1_0:.4f}",
+        f"class 1: precision={rep.precision_1:.4f} recall={rep.recall_1:.4f} f1={rep.f1_1:.4f}",
+        f"macro F1: {rep.macro_f1:.5f}",
+        "eval " + json.dumps(payload, sort_keys=True))
     return 0
 
 

@@ -12,8 +12,7 @@ Output written by this package is always LF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
 
@@ -24,34 +23,59 @@ UNLABELED_HEADER = "id,id1,id2"
 SUBMISSION_HEADER = "id,label"
 
 
-@dataclass(frozen=True)
 class NodeRecord:
-    id: int
-    text: str
+    """A node id and its text. A slotted class, not a tuple, so that a
+    weak reference can watch a node table being freed."""
+
+    __slots__ = ("id", "text", "__weakref__")
+
+    def __init__(self, id: int, text: str):
+        self.id = id
+        self.text = text
+
+    def __eq__(self, other):
+        if type(other) is not NodeRecord:
+            return NotImplemented
+        return self.id == other.id and self.text == other.text
+
+    def __hash__(self):
+        return hash((self.id, self.text))
+
+    def __repr__(self):
+        return f"NodeRecord(id={self.id!r}, text={self.text!r})"
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     pair_id: str
     id1: int
     id2: int
     label: int | None = None
 
 
-@dataclass
-class LabelStats:
+class LabelStats(NamedTuple):
     count_0: int
     count_1: int
     pct_0: float
     pct_1: float
 
 
-@dataclass
 class ParseCounters:
     """Side-channel for non-fatal parser observations."""
 
-    missing_text: int = 0
-    skipped_joins: int = 0
+    __slots__ = ("missing_text", "skipped_joins")
+
+    def __init__(self, missing_text: int = 0, skipped_joins: int = 0):
+        self.missing_text = missing_text
+        self.skipped_joins = skipped_joins
+
+    def __eq__(self, other):
+        if type(other) is not ParseCounters:
+            return NotImplemented
+        return (self.missing_text, self.skipped_joins) == (other.missing_text, other.skipped_joins)
+
+    def __repr__(self):
+        return (f"ParseCounters(missing_text={self.missing_text!r}, "
+                f"skipped_joins={self.skipped_joins!r})")
 
 
 def _stripped_lines(stream: IO) -> Iterator[str]:

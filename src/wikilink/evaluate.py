@@ -7,24 +7,21 @@ precision/recall/F1 (zero denominator) evaluate to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .baseline import Prediction
 from .dataset import PairRecord, SUBMISSION_HEADER
 from .errors import ParseError, ValidationError
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     tp: int = 0
     fp: int = 0
     tn: int = 0
     fn: int = 0
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     matrix: ConfusionMatrix
     precision_0: float
     recall_0: float

@@ -16,7 +16,7 @@ character. `bytes.split()` splits on exactly the six `WHITESPACE_CHARS` (not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +32,17 @@ _UTF8 = ("utf-8", "surrogatepass")  # a lone surrogate round-trips
 STAGES = ("balance", "debrace", "depunct", "despace")
 
 
-@dataclass(frozen=True)
-class CleanConfig:
+class _CleanFields(NamedTuple):
     stage_mask: tuple[str, ...] = STAGES
 
-    def __post_init__(self):
+
+class CleanConfig(_CleanFields):
+    """The enabled stages; construction rejects an unknown or reordered one (ValueError)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         unknown = [s for s in self.stage_mask if s not in STAGES]
         if unknown:
             raise ValueError(f"unknown stages: {unknown}")
@@ -45,14 +51,37 @@ class CleanConfig:
             raise ValueError(
                 f"stage_mask must follow the fixed order {STAGES}, got {self.stage_mask}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this: check its result too
+        return cls(*iterable)
 
 
-@dataclass
 class CleanReport:
-    input_length: int = 0
-    output_length: int = 0
-    braces_removed_balance: int = 0
-    chars_removed_debrace: int = 0
+    """What one text's stages deleted, in code points; `merge` adds another's counts."""
+
+    __slots__ = ("input_length", "output_length", "braces_removed_balance",
+                 "chars_removed_debrace")
+
+    def __init__(self, input_length: int = 0, output_length: int = 0,
+                 braces_removed_balance: int = 0, chars_removed_debrace: int = 0):
+        self.input_length = input_length
+        self.output_length = output_length
+        self.braces_removed_balance = braces_removed_balance
+        self.chars_removed_debrace = chars_removed_debrace
+
+    def counts(self) -> dict[str, int]:
+        """Each count by its field name."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not CleanReport:
+            return NotImplemented
+        return self.counts() == other.counts()
+
+    def __repr__(self):
+        return "CleanReport(" + ", ".join(f"{k}={v!r}" for k, v in self.counts().items()) + ")"
 
     def merge(self, other: "CleanReport") -> None:
         self.input_length += other.input_length

@@ -26,7 +26,6 @@ import math
 import random
 import re
 import struct
-from dataclasses import asdict
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -325,7 +324,7 @@ def reference_save_model_v3(model: BaselineModel) -> str:
     payload = {
         "format": MODEL_FORMAT,
         "layout": FEATURE_LAYOUT,
-        "config": asdict(model.config),
+        "config": model.config._asdict(),
         "gaps": gaps,
         "weights": binascii.b2a_base64(b"".join(struct.pack("<d", w) for w in stored),
                                        newline=False).decode("ascii"),

@@ -415,6 +415,16 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train_items([pair(["a"], ["b"], label=None)], TrainConfig())
 
+    @pytest.mark.parametrize("build", [
+        lambda: TrainConfig(0),
+        lambda: TrainConfig(epochs=0),
+        lambda: TrainConfig(learning_rate=math.inf),
+        lambda: TrainConfig()._replace(hash_bits=31),
+    ])
+    def test_config_range_checked_however_built(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 def assert_same_model(got, want):
     for name in ("weights", "m", "v"):

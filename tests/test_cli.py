@@ -2,7 +2,6 @@ import argparse
 import binascii
 import contextlib
 import copy
-import dataclasses
 import gc
 import hashlib
 import io
@@ -37,6 +36,21 @@ GOLDEN_SHA256 = {
     "prepared.tsv": "027f715b130295973757058bd10371b8dd88dde7787c5e136f1a8e719a58dcbc",
     "nodes.clean.tsv": "4dc7ec772dd59abec709fe8172878cfec46c5e4e8ca1be35d8ba3e68bff2b261",
 }
+
+
+# The JSON report lines on the fixture, byte for byte. `eval` on the fixture's
+# predictions is exact; `eval` with every third label flipped is not.
+CLEAN_REPORT_LINE = ('clean-report {"braces_removed_balance": 68, "chars_removed_debrace": 8820, '
+                     '"input_length": 27392, "missing_text": 0, "output_length": 15655}')
+STATS_LINE = 'stats {"count_0": 103, "count_1": 97, "pct_0": 51.5, "pct_1": 48.5}'
+EVAL_LINE = ('eval {"f1_0": 1.0, "f1_1": 1.0, "macro_f1": 1.0, '
+             '"matrix": {"fn": 0, "fp": 0, "tn": 103, "tp": 97}, "precision_0": 1.0, '
+             '"precision_1": 1.0, "recall_0": 1.0, "recall_1": 1.0}')
+EVAL_FLIPPED_LINE = (
+    'eval {"f1_0": 0.676328502415459, "f1_1": 0.6528497409326426, '
+    '"macro_f1": 0.6645891216740508, "matrix": {"fn": 34, "fp": 33, "tn": 70, "tp": 63}, '
+    '"precision_0": 0.6730769230769231, "precision_1": 0.65625, '
+    '"recall_0": 0.6796116504854369, "recall_1": 0.6494845360824743}')
 
 
 def pipeline_argv(fixture_dir, out_dir, *extra):
@@ -116,6 +130,11 @@ class TestClean:
         assert len(lines) == 400
         assert all("{" not in l and "," not in l for l in lines)
 
+    def test_fixture_report_line_is_pinned(self, tmp_path, fixture_dir, capsys):
+        assert run_cli(["clean", "--input", str(fixture_dir / "nodes.tsv"),
+                        "--output", str(tmp_path / "cleaned.tsv")]) == 0
+        assert CLEAN_REPORT_LINE + "\n" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, monkeypatch, capsys):
         code = run_cli(["clean"], "bogus line without id\n", monkeypatch)
         assert code == 2
@@ -132,6 +151,13 @@ class TestStats:
         assert payload["count_0"] == fixture_manifest["count_0"]
         assert payload["count_1"] == fixture_manifest["count_1"]
         assert f"{fixture_manifest['count_0']:,}" in out
+
+    def test_fixture_output_is_pinned(self, fixture_dir, capsys):
+        assert run_cli(["stats", "--pairs", str(fixture_dir / "train.csv")]) == 0
+        assert capsys.readouterr().out == (
+            "               Non-related (0)   Related (1)\n"
+            "Frequency                  103            97\n"
+            "Percentage              51.50%        48.50%\n" + STATS_LINE + "\n")
 
     def test_repeated_pair_id_exits_3(self, fixture_dir, tmp_path, capsys):
         lines = (fixture_dir / "train.csv").read_text().splitlines(keepends=True)
@@ -298,6 +324,26 @@ class TestTrainPredictEvalSubmit:
         machine = next(l for l in out.splitlines() if l.startswith("eval "))
         payload = json.loads(machine.split(" ", 1)[1])
         assert payload["macro_f1"] >= 0.95
+
+    def test_eval_report_lines_are_pinned(self, artifacts, fixture_dir, tmp_path, capsys):
+        header, *rows = (artifacts / "predictions.csv").read_text().splitlines()
+        flipped = [f"{row[:-1]}{1 - int(row[-1])}" if k % 3 == 0 else row
+                   for k, row in enumerate(rows)]
+        (tmp_path / "flipped.csv").write_text("\n".join([header, *flipped]) + "\n")
+        for predictions, line in ((artifacts / "predictions.csv", EVAL_LINE),
+                                  (tmp_path / "flipped.csv", EVAL_FLIPPED_LINE)):
+            assert main(["eval", "--predictions", str(predictions),
+                         "--pairs", str(fixture_dir / "train.csv")]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == line
+
+    def test_eval_of_no_pairs_exits_3(self, tmp_path, capsys):
+        (tmp_path / "predictions.csv").write_text("id,prob,label\n")
+        (tmp_path / "gold.csv").write_text("id,id1,id2,label\n")
+        assert main(["eval", "--predictions", str(tmp_path / "predictions.csv"),
+                     "--pairs", str(tmp_path / "gold.csv")]) == 3
+        captured = capsys.readouterr()
+        assert "error [validation]: no pairs to evaluate" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_submit_format(self, artifacts, tmp_path):
         out = tmp_path / "submission.csv"
@@ -771,6 +817,9 @@ CLOSED_STREAMS = {
     "clean with no stdin": (["clean"], "<&-", "stdin"),
     "stats with no stdin": (["stats", "--pairs", "-"], "<&-", "stdin"),
     "clean with no stdout": (["clean", "--input", "nodes.tsv"], ">&-", "stdout"),
+    "stats with no stdout": (["stats", "--pairs", "pairs.csv"], ">&-", "stdout"),
+    "eval with no stdout": (["eval", "--predictions", "predictions.csv", "--pairs", "pairs.csv"],
+                            ">&-", "stdout"),
 }
 
 
@@ -780,6 +829,8 @@ def test_closed_std_stream_exits_4(case, tmp_path):
     object: reading or writing `-` there is an io error that names it."""
     argv, redirect, stream = CLOSED_STREAMS[case]
     (tmp_path / "nodes.tsv").write_text("1\ta b\n")
+    (tmp_path / "pairs.csv").write_text("id,id1,id2,label\np,1,2,1\n")
+    (tmp_path / "predictions.csv").write_text("id,prob,label\np,0.75,1\n")
     run = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
                           sys.executable, "-m", "wikilink.cli", *argv],
                          capture_output=True, text=True, cwd=tmp_path, env=src_env())
@@ -830,6 +881,19 @@ def test_openblas_threads_default_to_one(preset, expected):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+
+
+def test_start_up_loads_no_dataclasses_or_configparser():
+    """A fresh `import wikilink.cli` loads numpy and every package module, but
+    not `dataclasses`, nor `configparser`, which only a --config run needs."""
+    code = "import json, sys, wikilink.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    modules = {f"wikilink.{p.stem}" for p in Path(SRC, "wikilink").glob("[!_]*.py")}
+    assert "wikilink.cli" in modules and {"numpy", "wikilink", *modules} <= loaded
+    assert not {"dataclasses", "configparser"} & loaded
 
 
 class TestUsage:
@@ -923,7 +987,7 @@ def _b64(raw: bytes) -> str:
 
 # The bad-model files hold a hash_bits 4 model: 20 slots, with the stored
 # weights at 0, 2, 5 and 19, the last slot.
-BAD_MODEL_CONFIG = dataclasses.asdict(baseline.TrainConfig(hash_bits=4))
+BAD_MODEL_CONFIG = baseline.TrainConfig(hash_bits=4)._asdict()
 STORED = [0.5, -0.25, -0.0, 2.0]
 STORED_BYTES = struct.pack("<4d", *STORED)
 BAD_MODEL = {"format": baseline.MODEL_FORMAT, "layout": baseline.FEATURE_LAYOUT,

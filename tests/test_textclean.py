@@ -181,6 +181,8 @@ class TestCleanConfig:
     def test_rejects_reordered_stages(self):
         with pytest.raises(ValueError):
             CleanConfig(stage_mask=("debrace", "balance"))
+        with pytest.raises(ValueError):
+            CleanConfig()._replace(stage_mask=("debrace", "balance"))
 
     def test_subset_mask_allowed(self):
         cfg = CleanConfig(stage_mask=("balance", "despace"))
