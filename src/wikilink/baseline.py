@@ -138,9 +138,6 @@ class BaselineModel:
         # Two weight-sized buffers adamw_step reuses, so a step allocates nothing.
         self.buffers: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __repr__(self):
-        return f"BaselineModel(config={self.config!r}, dim={self.dim}, step={self.step})"
-
     @classmethod
     def zeros(cls, config: TrainConfig) -> "BaselineModel":
         weights, m, v = _zero_vectors(config.hash_bits, 3)
@@ -175,9 +172,6 @@ class FeatureRows:
         self.indptr = indptr    # int64, one more than the number of rows
         self.indices = indices  # int64 feature slots
         self.values = values    # float64
-
-    def __repr__(self):
-        return f"FeatureRows({len(self)} rows, {self.indices.shape[0]} entries)"
 
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import io
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -28,9 +29,9 @@ def log(message: str) -> None:
 
 
 @contextlib.contextmanager
-def atomic_output(path: str | None):
-    """Yield a text handle; stdout for '-' or None, else temp-and-rename."""
-    if path is None or path == "-":
+def atomic_output(path: str):
+    """Yield a text handle; stdout for '-', else temp-and-rename."""
+    if path == "-":
         if sys.stdout is None:
             raise OSError("cannot write to stdout: the process has none")
         yield sys.stdout
@@ -49,9 +50,9 @@ def atomic_output(path: str | None):
 
 
 @contextlib.contextmanager
-def open_input(path: str | None):
-    """A strict UTF-8 handle on `path`, or on stdin for '-' or None; lines end at LF only."""
-    if path is None or path == "-":
+def open_input(path: str):
+    """A strict UTF-8 handle on `path`, or on stdin for '-'; lines end at LF only."""
+    if path == "-":
         if sys.stdin is None:
             raise OSError("cannot read stdin: the process has none")
         handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
@@ -129,19 +130,17 @@ def _model_path(paths: dict) -> str:
 # Pipeline steps (shared by individual subcommands and `pipeline`)
 
 
-def _clean_nodes(given: dict, in_path: str | None,
-                 out_path: str | None) -> dict[int, dataset.NodeRecord]:
+def _clean_nodes(given: dict, in_path: str, out_path: str) -> dict[int, dataset.NodeRecord]:
     """Clean every node, write the cleaned table, log the report line and return
     the table. The report adds `missing_text`: node lines with no tab, kept empty."""
-    config = textclean.CleanConfig(stage_mask=tuple(
-        s for s in textclean.STAGES if given["clean"].get(s, True)))
-    aggregate = textclean.CleanReport()
+    config = textclean.CleanConfig(**given["clean"])
+    total = [0] * len(textclean.CleanReport._fields)  # the node reports, summed
     counters = dataset.ParseCounters()
 
     def cleaned(records):
         for rec in records:
             text, rep = textclean.clean(rec.text, config)
-            aggregate.merge(rep)
+            total[:] = map(operator.add, total, rep)
             yield dataset.NodeRecord(rec.id, text)
 
     with open_input(in_path) as src:
@@ -149,7 +148,7 @@ def _clean_nodes(given: dict, in_path: str | None,
     with atomic_output(out_path) as dst:
         dataset.write_nodes(table.values(), dst)
     log(f"clean: {len(table)} nodes")
-    report = aggregate.counts() | {"missing_text": counters.missing_text}
+    report = textclean.CleanReport(*total)._asdict() | {"missing_text": counters.missing_text}
     log("clean-report " + json.dumps(report, sort_keys=True))
     return table
 
@@ -185,7 +184,7 @@ def _train(config: baseline.TrainConfig, examples: list[pairs_mod.SentencePair],
 
 
 def _predict(model: baseline.BaselineModel, examples: list[pairs_mod.SentencePair],
-             table: baseline.NodeTable, out_path: str | None) -> list[baseline.Prediction]:
+             table: baseline.NodeTable, out_path: str) -> list[baseline.Prediction]:
     predictions = baseline.predict(model, examples, table)
     with atomic_output(out_path) as dst:
         evaluate.write_predictions(predictions, dst)
@@ -193,7 +192,7 @@ def _predict(model: baseline.BaselineModel, examples: list[pairs_mod.SentencePai
     return predictions
 
 
-def _submit(predictions: list[baseline.Prediction], out_path: str | None) -> None:
+def _submit(predictions: list[baseline.Prediction], out_path: str) -> None:
     with atomic_output(out_path) as dst:
         count = evaluate.emit_submission(predictions, dst)
     log(f"submit: {count} rows")
@@ -205,7 +204,7 @@ def _submit(predictions: list[baseline.Prediction], out_path: str | None) -> Non
 
 def _print_lines(*lines: str) -> None:
     """Print a report to stdout; a process with no stdout is an io error."""
-    with atomic_output(None) as out:
+    with atomic_output("-") as out:
         out.write("".join(line + "\n" for line in lines))
 
 

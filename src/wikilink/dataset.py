@@ -23,26 +23,9 @@ UNLABELED_HEADER = "id,id1,id2"
 SUBMISSION_HEADER = "id,label"
 
 
-class NodeRecord:
-    """A node id and its text. A slotted class, not a tuple, so that a
-    weak reference can watch a node table being freed."""
-
-    __slots__ = ("id", "text", "__weakref__")
-
-    def __init__(self, id: int, text: str):
-        self.id = id
-        self.text = text
-
-    def __eq__(self, other):
-        if type(other) is not NodeRecord:
-            return NotImplemented
-        return self.id == other.id and self.text == other.text
-
-    def __hash__(self):
-        return hash((self.id, self.text))
-
-    def __repr__(self):
-        return f"NodeRecord(id={self.id!r}, text={self.text!r})"
+class NodeRecord(NamedTuple):
+    id: int
+    text: str
 
 
 class PairRecord(NamedTuple):
@@ -67,15 +50,6 @@ class ParseCounters:
     def __init__(self, missing_text: int = 0, skipped_joins: int = 0):
         self.missing_text = missing_text
         self.skipped_joins = skipped_joins
-
-    def __eq__(self, other):
-        if type(other) is not ParseCounters:
-            return NotImplemented
-        return (self.missing_text, self.skipped_joins) == (other.missing_text, other.skipped_joins)
-
-    def __repr__(self):
-        return (f"ParseCounters(missing_text={self.missing_text!r}, "
-                f"skipped_joins={self.skipped_joins!r})")
 
 
 def _stripped_lines(stream: IO) -> Iterator[str]:

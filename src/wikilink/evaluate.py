@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .baseline import Prediction
-from .dataset import PairRecord, SUBMISSION_HEADER
+from .dataset import PairRecord, SUBMISSION_HEADER, _stripped_lines
 from .errors import ParseError, ValidationError
 
 
@@ -124,15 +124,13 @@ def write_predictions(predictions: Iterable[Prediction], stream: IO) -> int:
 
 
 def read_predictions(stream: IO) -> Iterator[Prediction]:
-    lines = iter(stream)
-    try:
-        header = next(lines).rstrip("\r\n")
-    except StopIteration:
-        raise ParseError(f"empty file, expected header {PREDICTIONS_HEADER!r}", 1) from None
+    lines = _stripped_lines(stream)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(f"empty file, expected header {PREDICTIONS_HEADER!r}", 1)
     if header != PREDICTIONS_HEADER:
         raise ParseError(f"expected header {PREDICTIONS_HEADER!r}, got {header!r}", 1)
-    for line_no, raw in enumerate(lines, start=2):
-        line = raw.rstrip("\r\n")
+    for line_no, line in enumerate(lines, start=2):
         if line == "":
             continue
         fields = line.split(",")

@@ -29,65 +29,26 @@ DEFAULT_PUNCTUATION = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`|~")
 _PUNCTUATION_BYTES = "".join(sorted(DEFAULT_PUNCTUATION)).encode("ascii")
 _UTF8 = ("utf-8", "surrogatepass")  # a lone surrogate round-trips
 
-STAGES = ("balance", "debrace", "depunct", "despace")
+
+class CleanConfig(NamedTuple):
+    """Which stages run; they always run in `STAGES` order."""
+
+    balance: bool = True
+    debrace: bool = True
+    depunct: bool = True
+    despace: bool = True
 
 
-class _CleanFields(NamedTuple):
-    stage_mask: tuple[str, ...] = STAGES
+STAGES = CleanConfig._fields
 
 
-class CleanConfig(_CleanFields):
-    """The enabled stages; construction rejects an unknown or reordered one (ValueError)."""
+class CleanReport(NamedTuple):
+    """What one text's stages deleted, in code points."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        unknown = [s for s in self.stage_mask if s not in STAGES]
-        if unknown:
-            raise ValueError(f"unknown stages: {unknown}")
-        ordered = tuple(s for s in STAGES if s in self.stage_mask)
-        if ordered != tuple(self.stage_mask):
-            raise ValueError(
-                f"stage_mask must follow the fixed order {STAGES}, got {self.stage_mask}"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through this: check its result too
-        return cls(*iterable)
-
-
-class CleanReport:
-    """What one text's stages deleted, in code points; `merge` adds another's counts."""
-
-    __slots__ = ("input_length", "output_length", "braces_removed_balance",
-                 "chars_removed_debrace")
-
-    def __init__(self, input_length: int = 0, output_length: int = 0,
-                 braces_removed_balance: int = 0, chars_removed_debrace: int = 0):
-        self.input_length = input_length
-        self.output_length = output_length
-        self.braces_removed_balance = braces_removed_balance
-        self.chars_removed_debrace = chars_removed_debrace
-
-    def counts(self) -> dict[str, int]:
-        """Each count by its field name."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other):
-        if type(other) is not CleanReport:
-            return NotImplemented
-        return self.counts() == other.counts()
-
-    def __repr__(self):
-        return "CleanReport(" + ", ".join(f"{k}={v!r}" for k, v in self.counts().items()) + ")"
-
-    def merge(self, other: "CleanReport") -> None:
-        self.input_length += other.input_length
-        self.output_length += other.output_length
-        self.braces_removed_balance += other.braces_removed_balance
-        self.chars_removed_debrace += other.chars_removed_debrace
+    input_length: int
+    output_length: int
+    braces_removed_balance: int
+    chars_removed_debrace: int
 
 
 def balance_curly_braces(text: str) -> str:
@@ -132,21 +93,19 @@ def normalize_whitespace(text: str) -> str:
     return b" ".join(text.encode(*_UTF8).split()).decode(*_UTF8).strip()
 
 
-def clean(text: str, config: CleanConfig | None = None) -> tuple[str, CleanReport]:
+def clean(text: str, config: CleanConfig = CleanConfig()) -> tuple[str, CleanReport]:
     """Run the enabled stages in order; report what each deleted."""
-    if config is None:
-        config = CleanConfig()
-    report = CleanReport(input_length=len(text))
-    if "balance" in config.stage_mask:
-        report.braces_removed_balance = abs(text.count("{") - text.count("}"))
+    input_length = len(text)
+    braces = debraced = 0
+    if config.balance:
+        braces = abs(text.count("{") - text.count("}"))
         text = balance_curly_braces(text)
-    if "debrace" in config.stage_mask:
+    if config.debrace:
         before_len = len(text)
         text = remove_brace_spans(text)
-        report.chars_removed_debrace = before_len - len(text)
-    if "depunct" in config.stage_mask:
+        debraced = before_len - len(text)
+    if config.depunct:
         text = strip_punctuation(text)
-    if "despace" in config.stage_mask:
+    if config.despace:
         text = normalize_whitespace(text)
-    report.output_length = len(text)
-    return text, report
+    return text, CleanReport(input_length, len(text), braces, debraced)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wikilink
-from wikilink import baseline, cli, dataset, pairs
+from wikilink import baseline, cli, dataset, pairs, textclean
 from wikilink.cli import main, make_parser
 
 SRC = str(Path(wikilink.__file__).resolve().parents[1])
@@ -119,6 +119,25 @@ class TestClean:
         assert out == "1\tabc\n2\t\n3\tx y\n"
         report_line = next(l for l in err.splitlines() if l.startswith("clean-report "))
         assert json.loads(report_line.split(" ", 1)[1])["missing_text"] == 1
+
+    def test_report_of_no_nodes_is_all_zero(self, monkeypatch, capsys):
+        assert run_cli(["clean"], "", monkeypatch) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "clean: 0 nodes",
+            'clean-report {"braces_removed_balance": 0, "chars_removed_debrace": 0, '
+            '"input_length": 0, "missing_text": 0, "output_length": 0}']
+
+    def test_report_sums_every_node(self, monkeypatch, capsys):
+        # Balance and debrace are off, so their counts stay 0 though the text has braces.
+        code = run_cli(["clean", "--no-balance", "--no-debrace"], "1\t{{a}} b.\n2\n", monkeypatch)
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert out == "1\t{{a}} b\n2\t\n"
+        assert err.splitlines()[-1] == (
+            'clean-report {"braces_removed_balance": 0, "chars_removed_debrace": 0, '
+            '"input_length": 8, "missing_text": 1, "output_length": 7}')
 
     def test_file_output(self, tmp_path, fixture_dir):
         out = tmp_path / "cleaned.tsv"
@@ -438,22 +457,26 @@ class TestPipeline:
     def test_cleaned_table_dropped_before_training(self, fixture_dir, tmp_path, monkeypatch):
         """`pipeline` holds no cleaned node text once both pairs files are tokenized."""
         refs, alive = [], []
-        clean_nodes, train = cli._clean_nodes, baseline.train
+        clean, train = textclean.clean, baseline.train
 
-        def recording_clean_nodes(*args, **kwargs):
-            table = clean_nodes(*args, **kwargs)
-            refs.append(weakref.ref(next(iter(table.values()))))
-            return table
+        class Text(str):  # unlike a str, a subclass instance can be weakly referenced
+            pass
+
+        def watched_clean(text, config):
+            text, report = clean(text, config)
+            text = Text(text)
+            refs.append(weakref.ref(text))
+            return text, report
 
         def checking_train(*args):
             gc.collect()
-            alive.append(refs[0]() is not None)
+            alive.append(sum(ref() is not None for ref in refs))
             return train(*args)
 
-        monkeypatch.setattr(cli, "_clean_nodes", recording_clean_nodes)
+        monkeypatch.setattr(textclean, "clean", watched_clean)
         monkeypatch.setattr(baseline, "train", checking_train)
         assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
-        assert alive == [False]
+        assert len(refs) == 400 and alive == [0]
 
     # test.csv text -> exit code
     @pytest.mark.parametrize("test_csv, code", [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wikilink.baseline import Prediction
 from wikilink.cli import main
 from wikilink.dataset import PairRecord
-from wikilink.errors import ValidationError
+from wikilink.errors import ParseError, ValidationError
 from wikilink.evaluate import (
     ConfusionMatrix,
     confusion,
@@ -140,6 +140,16 @@ class TestPredictionsFile:
         write_predictions([original], buf)
         buf.seek(0)
         assert next(read_predictions(buf)).probability == original.probability
+
+    def test_line_endings_and_line_numbers(self):
+        # The CRs ending a line go, blank lines are skipped, and each line keeps its number.
+        text = "id,prob,label\r\r\n\np0,0.5,1\r\n\r\np1,0.25,0\n"
+        assert list(read_predictions(io.StringIO(text))) == [
+            Prediction("p0", 0.5, 1), Prediction("p1", 0.25, 0)]
+        for text, line in (("", 1), ("id,prob\n", 1), ("id,prob,label\n\np0,x,1\n", 3)):
+            with pytest.raises(ParseError) as exc:
+                list(read_predictions(io.StringIO(text)))
+            assert exc.value.line == line, text
 
 
 class TestFailsClosed:

@@ -178,16 +178,6 @@ class TestCleanConfig:
         assert not DEFAULT_PUNCTUATION & set(WHITESPACE_CHARS)
         assert strip_punctuation(WHITESPACE_CHARS + ".") == WHITESPACE_CHARS
 
-    def test_rejects_reordered_stages(self):
-        with pytest.raises(ValueError):
-            CleanConfig(stage_mask=("debrace", "balance"))
-        with pytest.raises(ValueError):
-            CleanConfig()._replace(stage_mask=("debrace", "balance"))
-
-    def test_subset_mask_allowed(self):
-        cfg = CleanConfig(stage_mask=("balance", "despace"))
-        assert cfg.stage_mask == ("balance", "despace")
-
 
 class TestClean:
     @pytest.mark.parametrize(
@@ -250,13 +240,13 @@ class TestClean:
             expected = reference_strip_punctuation(expected)
         if "despace" in mask:
             expected = reference_normalize_whitespace(expected)
-        out, rep = clean(text, CleanConfig(stage_mask=mask))
+        out, rep = clean(text, CleanConfig(**{s: s in mask for s in STAGES}))
         assert out == expected
         assert (rep.input_length, rep.output_length) == (len(text), len(expected))
         assert (rep.braces_removed_balance, rep.chars_removed_debrace) == (braces, debraced)
 
     def test_stage_mask_respected(self):
-        cfg = CleanConfig(stage_mask=("depunct", "despace"))
+        cfg = CleanConfig(balance=False, debrace=False)
         out, _ = clean("a, {{b}}  c", cfg)
         assert out == "a {{b}} c"
 
@@ -289,6 +279,7 @@ def test_every_short_string_matches_oracles():
                 expected = text
                 for stage in mask:
                     expected = oracles[stage](expected)
-                assert clean(text, CleanConfig(stage_mask=mask))[0] == expected, (mask, text)
+                config = CleanConfig(**{s: s in mask for s in STAGES})
+                assert clean(text, config)[0] == expected, (mask, text)
             checked += 1
     assert checked == 1 + 20 + 20**2 + 20**3
