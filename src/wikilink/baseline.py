@@ -127,14 +127,13 @@ class BaselineModel:
 
     __slots__ = ("config", "weights", "m", "v", "step", "loss_history", "buffers")
 
-    def __init__(self, config: TrainConfig, weights: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 step: int = 0, loss_history: list[float] | None = None):
+    def __init__(self, config: TrainConfig, weights: np.ndarray, m: np.ndarray, v: np.ndarray):
         self.config = config
         self.weights = weights
         self.m = m
         self.v = v
-        self.step = step
-        self.loss_history = [] if loss_history is None else loss_history
+        self.step = 0
+        self.loss_history: list[float] = []
         # Two weight-sized buffers adamw_step reuses, so a step allocates nothing.
         self.buffers: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -559,7 +558,7 @@ def save_model(model: BaselineModel, stream: IO) -> None:
     slots after the last one are +0.0 up to the length `hash_bits` gives.
     """
     weights = model.weights
-    stored = np.flatnonzero((weights != 0) | np.signbit(weights))
+    stored = np.flatnonzero(weights.view(np.int64))  # every weight but +0.0 has a set bit
     raw = weights[stored].astype("<f8").tobytes()
     stream.write(json.dumps({
         "format": MODEL_FORMAT,

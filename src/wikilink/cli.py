@@ -22,6 +22,7 @@ from . import baseline, dataset, evaluate, pairs as pairs_mod, textclean
 from .errors import ParseError, PipelineError, ValidationError
 
 EXIT_CODES = {"parse": 2, "validation": 3, "io": 4, "numeric": 5, "internal": 1}
+OUTPUT_DIR = "out"  # the output directory of `pipeline`, and of `train`'s model, by default
 
 
 def log(message: str) -> None:
@@ -123,14 +124,14 @@ def settings(args: argparse.Namespace) -> dict[str, dict]:
 
 
 def _model_path(paths: dict) -> str:
-    return paths.get("model") or str(Path(paths.get("output_dir", "out")) / "model.json")
+    return paths.get("model") or str(Path(paths.get("output_dir", OUTPUT_DIR)) / "model.json")
 
 
 # ---------------------------------------------------------------------------
 # Pipeline steps (shared by individual subcommands and `pipeline`)
 
 
-def _clean_nodes(given: dict, in_path: str, out_path: str) -> dict[int, dataset.NodeRecord]:
+def _clean_nodes(given: dict, in_path: str, out_path: str) -> dict[int, str]:
     """Clean every node, write the cleaned table, log the report line and return
     the table. The report adds `missing_text`: node lines with no tab, kept empty."""
     config = textclean.CleanConfig(**given["clean"])
@@ -141,33 +142,30 @@ def _clean_nodes(given: dict, in_path: str, out_path: str) -> dict[int, dataset.
         for rec in records:
             text, rep = textclean.clean(rec.text, config)
             total[:] = map(operator.add, total, rep)
-            yield dataset.NodeRecord(rec.id, text)
+            yield rec.id, text
 
     with open_input(in_path) as src:
-        table = dataset.build_node_table(cleaned(dataset.parse_nodes(src, counters)))
+        table = dict(cleaned(dataset.parse_nodes(src, counters)))
     with atomic_output(out_path) as dst:
-        dataset.write_nodes(table.values(), dst)
+        dataset.write_nodes(table.items(), dst)
     log(f"clean: {len(table)} nodes")
     report = textclean.CleanReport(*total)._asdict() | {"missing_text": counters.missing_text}
     log("clean-report " + json.dumps(report, sort_keys=True))
     return table
 
 
-def _sentence_pairs(given: dict, pairs_path: str, nodes: str | dict[int, dataset.NodeRecord],
+def _sentence_pairs(given: dict, pairs_path: str, nodes: str | dict[int, str],
                     tokens: pairs_mod.Tokens) -> list[pairs_mod.SentencePair]:
     """Join a pairs file against `nodes` (a node table, or a nodes file path)
     and build each sentence pair once, over the run's token table `tokens`."""
     if not isinstance(nodes, dict):
         with open_input(nodes) as src:
-            nodes = dataset.build_node_table(dataset.parse_nodes(src))
+            nodes = dict(dataset.parse_nodes(src))
     counters = dataset.ParseCounters()
     with open_input(pairs_path) as src:
-        joined = dataset.join_pairs(
-            dataset.parse_pairs(src), nodes,
-            strict=given["run"].get("strict_join", True), counters=counters,
-        )
-        built = [pairs_mod.build_pair(pair, n1.text, n2.text, tokens)
-                 for pair, n1, n2 in joined]
+        joined = dataset.join_pairs(dataset.parse_pairs(src), nodes,
+                                    given["run"].get("strict_join", True), counters)
+        built = [pairs_mod.build_pair(*joined_pair, tokens) for joined_pair in joined]
     log(f"pairs: {len(built)} from {pairs_path}" + (
         f" ({counters.skipped_joins} skipped)" if counters.skipped_joins else ""))
     return built
@@ -194,8 +192,8 @@ def _predict(model: baseline.BaselineModel, examples: list[pairs_mod.SentencePai
 
 def _submit(predictions: list[baseline.Prediction], out_path: str) -> None:
     with atomic_output(out_path) as dst:
-        count = evaluate.emit_submission(predictions, dst)
-    log(f"submit: {count} rows")
+        evaluate.emit_submission(predictions, dst)
+    log(f"submit: {len(predictions)} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,7 @@ def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
             raise ValidationError(f"pipeline requires a {name} path (flag or config file)")
         if not Path(paths[name]).exists():
             raise FileNotFoundError(f"{name} path does not exist: {paths[name]}")
-    out = Path(paths.get("output_dir", "out"))
+    out = Path(paths.get("output_dir", OUTPUT_DIR))
     config = baseline.TrainConfig(**given["train"])
     nodes = _clean_nodes(given, paths["nodes"], str(out / "nodes.clean.tsv"))
     tokens = pairs_mod.Tokens(config.max_tokens)
@@ -329,7 +327,8 @@ _FLAG_GROUPS = {
               for stage in textclean.STAGES],
     "join": [("--lenient-join", {**_OFF, "dest": "strict_join",
                                  "help": "skip pairs with a missing node instead of failing"})],
-    "tokens": [("--max-tokens", {"type": int, "help": "per-side token budget (default 128)"})],
+    "tokens": [("--max-tokens", {"type": int, "help": "per-side token budget (default "
+                 f"{baseline.TrainConfig._field_defaults['max_tokens']})"})],
     "train": [("--" + key.replace("_", "-"), {"type": baseline.TRAIN_FIELD_TYPES[key]})
               for key in ("batch_size", "learning_rate", "epochs", "seed", "hash_bits",
                           "weight_decay", "decision_threshold")],

@@ -47,9 +47,9 @@ class ParseCounters:
 
     __slots__ = ("missing_text", "skipped_joins")
 
-    def __init__(self, missing_text: int = 0, skipped_joins: int = 0):
-        self.missing_text = missing_text
-        self.skipped_joins = skipped_joins
+    def __init__(self):
+        self.missing_text = 0
+        self.skipped_joins = 0
 
 
 def _stripped_lines(stream: IO) -> Iterator[str]:
@@ -94,12 +94,10 @@ def parse_nodes(stream: IO, counters: ParseCounters | None = None) -> Iterator[N
             yield NodeRecord(node_id, fields[1])
 
 
-def write_nodes(records: Iterable[NodeRecord], stream: IO) -> int:
-    n = 0
-    for rec in records:
-        stream.write(f"{rec.id}\t{rec.text}\n")
-        n += 1
-    return n
+def write_nodes(records: Iterable[tuple[int, str]], stream: IO) -> None:
+    """One `id<TAB>text` line per (id, text) record."""
+    for node_id, text in records:
+        stream.write(f"{node_id}\t{text}\n")
 
 
 def parse_pairs(stream: IO) -> Iterator[PairRecord]:
@@ -139,17 +137,13 @@ def parse_pairs(stream: IO) -> Iterator[PairRecord]:
         yield PairRecord(pair_id, id1, id2, label)
 
 
-def build_node_table(records: Iterable[NodeRecord]) -> dict[int, NodeRecord]:
-    return {rec.id: rec for rec in records}
-
-
 def join_pairs(
     pairs: Iterable[PairRecord],
-    nodes: dict[int, NodeRecord],
+    nodes: dict[int, str],
     strict: bool = True,
     counters: ParseCounters | None = None,
-) -> Iterator[tuple[PairRecord, NodeRecord, NodeRecord]]:
-    """Resolve each pair to its two node records, id1 first.
+) -> Iterator[tuple[PairRecord, str, str]]:
+    """Resolve each pair to the texts of its two nodes, id1's first.
 
     Strict mode fails on the first missing node; lenient mode skips the
     pair and bumps counters.skipped_joins.

@@ -22,7 +22,6 @@ class ConfusionMatrix(NamedTuple):
 
 
 class EvalReport(NamedTuple):
-    matrix: ConfusionMatrix
     precision_0: float
     recall_0: float
     f1_0: float
@@ -86,7 +85,6 @@ def report(matrix: ConfusionMatrix) -> EvalReport:
     p1, r1, f1_1 = _prf(matrix.tp, matrix.tp + matrix.fp, matrix.tp + matrix.fn)
     p0, r0, f1_0 = _prf(matrix.tn, matrix.tn + matrix.fn, matrix.tn + matrix.fp)
     return EvalReport(
-        matrix=matrix,
         precision_0=p0,
         recall_0=r0,
         f1_0=f1_0,
@@ -101,26 +99,20 @@ def macro_f1(matrix: ConfusionMatrix) -> float:
     return report(matrix).macro_f1
 
 
-def emit_submission(predictions: Iterable[Prediction], stream: IO) -> int:
+def emit_submission(predictions: Iterable[Prediction], stream: IO) -> None:
     """Header `id,label`, one LF-terminated row per prediction, input order."""
     stream.write(SUBMISSION_HEADER + "\n")
-    n = 0
     for p in predictions:
         stream.write(f"{p.pair_id},{p.label}\n")
-        n += 1
-    return n
 
 
 PREDICTIONS_HEADER = "id,prob,label"
 
 
-def write_predictions(predictions: Iterable[Prediction], stream: IO) -> int:
+def write_predictions(predictions: Iterable[Prediction], stream: IO) -> None:
     stream.write(PREDICTIONS_HEADER + "\n")
-    n = 0
     for p in predictions:
         stream.write(f"{p.pair_id},{p.probability!r},{p.label}\n")
-        n += 1
-    return n
 
 
 def read_predictions(stream: IO) -> Iterator[Prediction]:

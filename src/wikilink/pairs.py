@@ -81,7 +81,7 @@ def build_pair(pair: PairRecord, premise_text: str, hypothesis_text: str,
                         tokens.row(pair.id2, hypothesis_text), pair.label, tokens)
 
 
-def write_prepared(pairs: Sequence[SentencePair], tokens: Tokens, stream: IO) -> int:
+def write_prepared(pairs: Sequence[SentencePair], tokens: Tokens, stream: IO) -> None:
     """One record per line: pair_id, label or `-`, premise, hypothesis
     (tabs); each side is its node's tokens in `tokens`, joined by spaces
     and decoded once."""
@@ -92,4 +92,3 @@ def write_prepared(pairs: Sequence[SentencePair], tokens: Tokens, stream: IO) ->
     for sp in pairs:
         label = "-" if sp.label is None else str(sp.label)
         stream.write(f"{sp.pair_id}\t{label}\t{sides[sp.premise]}\t{sides[sp.hypothesis]}\n")
-    return len(pairs)

@@ -47,10 +47,10 @@ def fixture_sentence_pairs():
     from wikilink import baseline, dataset, textclean
 
     with open(FIXTURE_DIR / "nodes.tsv") as f:
-        table = dataset.build_node_table(dataset.parse_nodes(f))
+        table = dict(dataset.parse_nodes(f))
     budget = baseline.TrainConfig().max_tokens
-    tokens = {i: tuple(reference_tokenize(textclean.clean(n.text)[0])[:budget])
-              for i, n in table.items()}
+    tokens = {i: tuple(reference_tokenize(textclean.clean(text)[0])[:budget])
+              for i, text in table.items()}
     with open(FIXTURE_DIR / "train.csv") as f:
         return [TuplePair(p.pair_id, tokens[p.id1], tokens[p.id2], p.label)
                 for p in dataset.parse_pairs(f)]

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,6 +581,23 @@ class TestSaveMatchesJsonOracle:
 
     def test_trained_model(self, fixture_sentence_pairs):
         assert_saved_as_oracle_and_round_trips(train_items(fixture_sentence_pairs, TrainConfig()))
+
+    def test_saving_allocates_nothing_hash_space_sized(self):
+        """A hash_bits 22 model, 32 MiB of weights, of which four are stored
+        (one of them -0.0), saves under a 64 KiB tracemalloc peak: finding the
+        stored slots builds no mask over the hash space."""
+        model = model_with(np.zeros((1 << 22) + DENSE_BLOCK_SIZE), 22)
+        model.weights[[3, 1000, 1 << 21, (1 << 22) + 3]] = [1.5, -0.0, -2.0, 0.25]
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            save_model(model, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert json.loads(buf.getvalue())["gaps"] == [3, 996, (1 << 21) - 1001, (1 << 21) + 2]
+        assert load_model(io.StringIO(buf.getvalue())).weights.tobytes() == model.weights.tobytes()
 
     def test_hash_bits_30_bound_needs_no_vector(self):
         """A hash_bits 30 vector is 8 GiB, more than a small host lends

@@ -9,7 +9,6 @@ from wikilink.dataset import (
     NodeRecord,
     PairRecord,
     ParseCounters,
-    build_node_table,
     join_pairs,
     label_stats,
     parse_nodes,
@@ -128,18 +127,18 @@ class TestParsePairs:
 
 class TestJoin:
     def test_basic(self):
-        nodes = build_node_table([NodeRecord(1, "a"), NodeRecord(2, "b")])
+        nodes = {1: "a", 2: "b"}
         out = list(join_pairs([PairRecord("p0", 1, 2, 1)], nodes))
-        assert out == [(PairRecord("p0", 1, 2, 1), NodeRecord(1, "a"), NodeRecord(2, "b"))]
+        assert out == [(PairRecord("p0", 1, 2, 1), "a", "b")]
 
     def test_missing_node_strict(self):
-        nodes = build_node_table([NodeRecord(1, "a")])
+        nodes = {1: "a"}
         with pytest.raises(ValidationError, match="p0.*9"):
             list(join_pairs([PairRecord("p0", 1, 9, 1)], nodes))
 
     def test_missing_node_lenient(self):
         counters = ParseCounters()
-        nodes = build_node_table([NodeRecord(1, "a")])
+        nodes = {1: "a"}
         out = list(join_pairs(
             [PairRecord("p0", 1, 9, 1), PairRecord("p1", 1, 1, 0)],
             nodes, strict=False, counters=counters,

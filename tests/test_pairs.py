@@ -143,7 +143,7 @@ class TestPreparedFile:
         sp = build_pair(PairRecord("p0", 1, 2, 1), "a b", "c", tokens)
         unlabeled = build_pair(PairRecord("p1", 3, 4, None), "", "d", tokens)
         buf = io.StringIO()
-        assert write_prepared([sp, unlabeled], tokens, buf) == 2
+        write_prepared([sp, unlabeled], tokens, buf)
         assert buf.getvalue() == "p0\t1\ta b\tc\np1\t-\t\td\n"
 
     @given(st.lists(texts, min_size=2, max_size=6), st.lists(texts, max_size=4))
