@@ -509,10 +509,15 @@ def train(examples: Sequence[SentencePair], config: TrainConfig,
     rows = featurize(examples, table)
     labels = [sp.label for sp in examples]
     model = BaselineModel.zeros(config)
-    touched = np.zeros(model.dim, dtype=bool)
-    touched[rows.indices] = True
-    slots = np.flatnonzero(touched)
-    rows = FeatureRows(rows.indptr, (np.cumsum(touched) - 1)[rows.indices], rows.values)
+    # One int32 array over the hash space (hash_bits <= 30): 1 at each touched
+    # slot, then its running count, so a touched slot's rank is its count - 1.
+    # The rows are this call's own, so their slots are renumbered in place.
+    rank = np.zeros(model.dim, dtype=np.int32)
+    rank[rows.indices] = 1
+    slots = np.flatnonzero(rank)
+    np.cumsum(rank, out=rank)
+    np.subtract(rank[rows.indices], 1, out=rows.indices)
+    del rank
     # The bias is the last slot and in every row, so it stays last and
     # `compact.bias_index` is its position.
     compact = BaselineModel(config, np.zeros(slots.shape[0]),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import operator
@@ -382,18 +383,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # the process entry point (an in-process call passes its argv):
+        gc.freeze()  # no collection, not even at exit, walks what the imports made
     args = make_parser().parse_args(argv)
     try:
         return args.func(args, settings(args))
-    except PipelineError as exc:
-        log(f"error [{exc.category}]: {exc}")
-        return EXIT_CODES.get(exc.category, 1)
-    except OSError as exc:
-        log(f"error [io]: {exc}")
-        return EXIT_CODES["io"]
-    except UnicodeDecodeError as exc:
-        log(f"error [parse]: {exc}")
-        return EXIT_CODES["parse"]
+    except (PipelineError, OSError, UnicodeDecodeError) as exc:
+        category = exc.category if isinstance(exc, PipelineError) else (
+            "io" if isinstance(exc, OSError) else "parse")
+        log(f"error [{category}]: {exc}")
+        return EXIT_CODES.get(category, 1)
 
 
 if __name__ == "__main__":

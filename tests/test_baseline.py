@@ -426,6 +426,20 @@ class TestTrain:
         with pytest.raises(ValueError):
             build()
 
+    def test_peak_memory_per_hash_slot(self, fixture_sentence_pairs):
+        """Training the fixture at hash_bits 22 peaks under 32 B per slot: the
+        24 B of weights, m and v, and one int32 rank per slot to renumber the
+        touched slots, with no int64 array over the hash space."""
+        cfg = TrainConfig(hash_bits=22)
+        pairs, table = over_table(fixture_sentence_pairs, cfg.hash_bits)
+        tracemalloc.start()
+        try:
+            train(pairs, cfg, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * ((1 << 22) + DENSE_BLOCK_SIZE)
+
 
 def assert_same_model(got, want):
     for name in ("weights", "m", "v"):

@@ -919,6 +919,30 @@ def test_start_up_loads_no_dataclasses_or_configparser():
     assert not {"dataclasses", "configparser"} & loaded
 
 
+class TestHeapFreeze:
+    """Only the process entry, `main()` with no argv, freezes the import-time heap."""
+
+    def test_in_process_main_leaves_gc_state(self, fixture_dir, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main(["stats", "--pairs", str(fixture_dir / "train.csv")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        assert STATS_LINE in capsys.readouterr().out
+
+    def test_process_entry_freezes(self, fixture_dir):
+        code = ("import gc, sys, wikilink.cli\n"
+                "before = gc.get_freeze_count()\n"
+                "sys.argv = ['wikilink', 'stats', '--pairs', sys.argv[1]]\n"
+                "status = wikilink.cli.main()\n"
+                "print(before, gc.get_freeze_count(), gc.isenabled())\n"
+                "sys.exit(status)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(fixture_dir / "train.csv")],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert STATS_LINE in proc.stdout
+        before, frozen, enabled = proc.stdout.splitlines()[-1].split()
+        assert before == "0" and int(frozen) > 0 and enabled == "True"
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
