@@ -138,15 +138,11 @@ def _clean_nodes(given: dict, in_path: str, out_path: str) -> dict[int, str]:
     config = textclean.CleanConfig(**given["clean"])
     total = [0] * len(textclean.CleanReport._fields)  # the node reports, summed
     counters = dataset.ParseCounters()
-
-    def cleaned(records):
-        for rec in records:
-            text, rep = textclean.clean(rec.text, config)
-            total[:] = map(operator.add, total, rep)
-            yield rec.id, text
-
+    table: dict[int, str] = {}
     with open_input(in_path) as src:
-        table = dict(cleaned(dataset.parse_nodes(src, counters)))
+        for rec in dataset.parse_nodes(src, counters):
+            table[rec.id], rep = textclean.clean(rec.text, config)
+            total[:] = map(operator.add, total, rep)
     with atomic_output(out_path) as dst:
         dataset.write_nodes(table.items(), dst)
     log(f"clean: {len(table)} nodes")
@@ -385,6 +381,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:  # the process entry point (an in-process call passes its argv):
         gc.freeze()  # no collection, not even at exit, walks what the imports made
+        if sys.stdout is not None:  # `-` output is UTF-8, as files are, whatever the locale
+            sys.stdout.reconfigure(encoding="utf-8")
     args = make_parser().parse_args(argv)
     try:
         return args.func(args, settings(args))

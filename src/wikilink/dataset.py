@@ -1,13 +1,14 @@
-"""Streaming parsers and statistics for the competition file formats.
+"""Streaming parsers and statistics for the competition input formats.
 
 nodes.tsv: two tab-separated columns, id and text, no quoting layer.
 pairs csv: header `id,id1,id2,label` (labeled) or `id,id1,id2` (unlabeled);
 the header says which, and only the label consumers (training, label
-statistics, evaluation) reject an unlabeled file. Pair ids are unique and
-hold no tab, since they head the tab-separated prepared.tsv lines. Lines
-end at LF only; the CRs at the end of a line are dropped and any other CR
-is field content, so a file reads the same from a path and from stdin.
-Output written by this package is always LF.
+statistics, evaluation) reject an unlabeled file. This module owns both,
+and `read_csv`, the one reader of every CSV whose header names its columns:
+`evaluate` reads its predictions files through it. Lines end at LF only;
+the CRs at the end of a line are dropped and any other CR is field content,
+so a file reads the same from a path and from stdin. Output written by this
+package is always LF.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ MAX_NODE_ID = 2**64 - 1
 
 LABELED_HEADER = "id,id1,id2,label"
 UNLABELED_HEADER = "id,id1,id2"
-SUBMISSION_HEADER = "id,label"
 
 
 class NodeRecord(NamedTuple):
@@ -52,9 +52,11 @@ class ParseCounters:
         self.skipped_joins = 0
 
 
-def _stripped_lines(stream: IO) -> Iterator[str]:
-    for raw in stream:
-        yield raw.rstrip("\r\n")
+def _lines(lines: Iterable[str], start: int) -> Iterator[tuple[int, str]]:
+    """Each line that is not blank once the CRs ending it go, with its number."""
+    for line_no, raw in enumerate(lines, start):
+        if line := raw.rstrip("\r\n"):
+            yield line_no, line
 
 
 def _parse_node_id(token: str, line_no: int) -> int:
@@ -74,9 +76,7 @@ def parse_nodes(stream: IO, counters: ParseCounters | None = None) -> Iterator[N
     text field, which the two-column format cannot represent.
     """
     seen: set[int] = set()
-    for line_no, line in enumerate(_stripped_lines(stream), start=1):
-        if line == "":
-            continue
+    for line_no, line in _lines(stream, 1):
         fields = line.split("\t")
         if len(fields) > 2:
             raise ParseError(
@@ -100,22 +100,22 @@ def write_nodes(records: Iterable[tuple[int, str]], stream: IO) -> None:
         stream.write(f"{node_id}\t{text}\n")
 
 
-def parse_pairs(stream: IO) -> Iterator[PairRecord]:
-    """Yield PairRecords in file order; the exact header says whether each has a
-    label (else None). A repeated pair id or one holding a tab is fatal."""
-    expected = f"header {LABELED_HEADER!r} or {UNLABELED_HEADER!r}"
-    lines = _stripped_lines(stream)
-    header = next(lines, None)
+def read_csv(stream: IO, *headers: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each data line of a CSV whose first
+    line is one of `headers`. The header fixes the column count; the first
+    column is a pair id, unique and without a tab (it heads a prepared.tsv
+    line); a header ending in `label` makes the last column a 0 or 1."""
+    expected = "header " + " or ".join(map(repr, headers))
+    header = next(stream, None)
     if header is None:
         raise ParseError(f"empty file, expected {expected}", 1)
-    if header not in (LABELED_HEADER, UNLABELED_HEADER):
+    header = header.rstrip("\r\n")
+    if header not in headers:
         raise ParseError(f"expected {expected}, got {header!r}", 1)
-    labeled = header == LABELED_HEADER
-    ncols = 4 if labeled else 3
+    ncols = header.count(",") + 1
+    labeled = header.endswith(",label")
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=2):
-        if line == "":
-            continue
+    for line_no, line in _lines(stream, 2):
         fields = line.split(",")
         if len(fields) != ncols:
             raise ParseError(f"expected {ncols} columns, got {len(fields)}", line_no)
@@ -125,16 +125,18 @@ def parse_pairs(stream: IO) -> Iterator[PairRecord]:
         if pair_id in seen:
             raise ValidationError(f"duplicate pair id {pair_id!r} at line {line_no}")
         seen.add(pair_id)
-        id1 = _parse_node_id(fields[1], line_no)
-        id2 = _parse_node_id(fields[2], line_no)
-        label: int | None = None
-        if labeled:
-            if fields[3] not in ("0", "1"):
-                raise ValidationError(
-                    f"line {line_no}: label must be 0 or 1, got {fields[3]!r}"
-                )
-            label = int(fields[3])
-        yield PairRecord(pair_id, id1, id2, label)
+        if labeled and fields[-1] not in ("0", "1"):
+            raise ValidationError(f"line {line_no}: label must be 0 or 1, got {fields[-1]!r}")
+        yield line_no, fields
+
+
+def parse_pairs(stream: IO) -> Iterator[PairRecord]:
+    """Yield PairRecords in file order; the header says whether each has a
+    label (else None)."""
+    for line_no, fields in read_csv(stream, LABELED_HEADER, UNLABELED_HEADER):
+        yield PairRecord(fields[0], _parse_node_id(fields[1], line_no),
+                         _parse_node_id(fields[2], line_no),
+                         int(fields[3]) if len(fields) == 4 else None)
 
 
 def join_pairs(

@@ -1,4 +1,7 @@
-"""Binary macro-F1 evaluation and competition-format submission output.
+"""Binary macro-F1 evaluation, and the predictions and submission files.
+
+This module owns both files: it writes them, and reads predictions back
+through `dataset.read_csv`, which holds the CSV line, id and label rules.
 
 Class 1 is the positive class for the confusion matrix; macro F1 always
 averages over both classes {0, 1} whether or not both appear. Undefined
@@ -10,7 +13,7 @@ from __future__ import annotations
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .baseline import Prediction
-from .dataset import PairRecord, SUBMISSION_HEADER, _stripped_lines
+from .dataset import PairRecord, read_csv
 from .errors import ParseError, ValidationError
 
 
@@ -99,14 +102,15 @@ def macro_f1(matrix: ConfusionMatrix) -> float:
     return report(matrix).macro_f1
 
 
+PREDICTIONS_HEADER = "id,prob,label"
+SUBMISSION_HEADER = "id,label"
+
+
 def emit_submission(predictions: Iterable[Prediction], stream: IO) -> None:
     """Header `id,label`, one LF-terminated row per prediction, input order."""
     stream.write(SUBMISSION_HEADER + "\n")
     for p in predictions:
         stream.write(f"{p.pair_id},{p.label}\n")
-
-
-PREDICTIONS_HEADER = "id,prob,label"
 
 
 def write_predictions(predictions: Iterable[Prediction], stream: IO) -> None:
@@ -116,25 +120,12 @@ def write_predictions(predictions: Iterable[Prediction], stream: IO) -> None:
 
 
 def read_predictions(stream: IO) -> Iterator[Prediction]:
-    lines = _stripped_lines(stream)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError(f"empty file, expected header {PREDICTIONS_HEADER!r}", 1)
-    if header != PREDICTIONS_HEADER:
-        raise ParseError(f"expected header {PREDICTIONS_HEADER!r}, got {header!r}", 1)
-    for line_no, line in enumerate(lines, start=2):
-        if line == "":
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 columns, got {len(fields)}", line_no)
-        if fields[2] not in ("0", "1"):
-            raise ValidationError(f"line {line_no}: label must be 0 or 1, got {fields[2]!r}")
+    for line_no, (pair_id, prob_text, label) in read_csv(stream, PREDICTIONS_HEADER):
         try:
-            prob = float(fields[1])
+            prob = float(prob_text)
         except ValueError:
-            raise ParseError(f"bad probability {fields[1]!r}", line_no) from None
+            raise ParseError(f"bad probability {prob_text!r}", line_no) from None
         if not 0.0 <= prob <= 1.0:  # false for nan too
             raise ValidationError(
-                f"line {line_no}: probability must be in [0, 1], got {fields[1]!r}")
-        yield Prediction(fields[0], prob, int(fields[2]))
+                f"line {line_no}: probability must be in [0, 1], got {prob_text!r}")
+        yield Prediction(pair_id, prob, int(label))

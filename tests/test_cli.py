@@ -862,6 +862,72 @@ def test_closed_std_stream_exits_4(case, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+# case -> (the arguments, the input file's name and text, what the output must hold)
+NON_ASCII_OUTPUTS = {
+    "clean": (["clean", "--input", "nodes.tsv"], "nodes.tsv", "1\tcafé 日本 {x}\n",
+              "1\tcafé 日本\n"),
+    "submit": (["submit", "--predictions", "predictions.csv"], "predictions.csv",
+               "id,prob,label\ncafé-日本,0.75,1\n", "id,label\ncafé-日本,1\n"),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_OUTPUTS)
+def test_stdout_output_is_utf8_whatever_the_locale(case, tmp_path):
+    """`-` output is the UTF-8 a file gets, even where the locale's encoding is ASCII."""
+    argv, name, text, expected = NON_ASCII_OUTPUTS[case]
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    run = subprocess.run([sys.executable, "-m", "wikilink.cli", *argv, "--output", "-"],
+                         capture_output=True, cwd=tmp_path, env=src_env(PYTHONIOENCODING="ascii"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == expected.encode("utf-8")
+
+
+class TestPredictionsFileReadClosed:
+    """A predictions file obeys the pairs CSV's id rules in `eval` and `submit` alike."""
+
+    def run_command(self, command, predictions, tmp_path):
+        (tmp_path / "predictions.csv").write_text(predictions)
+        (tmp_path / "gold.csv").write_text("id,id1,id2,label\na,1,2,1\nb,1,3,0\n")
+        return main([command, "--predictions", str(tmp_path / "predictions.csv"), *(
+            ["--pairs", str(tmp_path / "gold.csv")] if command == "eval"
+            else ["--output", str(tmp_path / "submission.csv")])])
+
+    @pytest.mark.parametrize("command", ["eval", "submit"])
+    def test_repeated_id_exits_3(self, command, tmp_path, capsys):
+        code = self.run_command(command, "id,prob,label\na,0.5,1\nb,0.25,0\na,0.75,1\n",
+                                tmp_path)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "error [validation]: duplicate pair id 'a' at line 4" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert not (tmp_path / "submission.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "submit"])
+    def test_tab_in_id_exits_3(self, command, tmp_path, capsys):
+        code = self.run_command(command, "id,prob,label\na,0.5,1\nb\t,0.25,0\n", tmp_path)
+        assert code == 3
+        assert "error [validation]: pair id 'b\\t' at line 3 holds a tab" in capsys.readouterr().err
+        assert not (tmp_path / "submission.csv").exists()
+
+    def test_submit_from_stdin_matches_the_path(self, tmp_path, monkeypatch):
+        text = "id,prob,label\r\na,0.5,1\n\nb,0.25,0\n"
+        (tmp_path / "predictions.csv").write_text(text)
+        assert main(["submit", "--predictions", str(tmp_path / "predictions.csv"),
+                     "--output", str(tmp_path / "by_path.csv")]) == 0
+        assert run_cli(["submit", "--predictions", "-", "--output",
+                        str(tmp_path / "by_stdin.csv")], text, monkeypatch) == 0
+        assert (tmp_path / "by_stdin.csv").read_bytes() == (
+            tmp_path / "by_path.csv").read_bytes() == b"id,label\na,1\nb,0\n"
+
+
+def test_pairs_line_checks_its_label_before_its_node_ids(tmp_path, capsys):
+    """Each CSV line is checked in one order: shape, id, label, then the
+    format's own fields, so a bad label is reported before a bad node id."""
+    (tmp_path / "pairs.csv").write_text("id,id1,id2,label\np0,x,2,7\n")
+    assert main(["stats", "--pairs", str(tmp_path / "pairs.csv")]) == 3
+    assert "error [validation]: line 2: label must be 0 or 1, got '7'" in capsys.readouterr().err
+
+
 def test_vocabulary_bound_exits_3(fixture_dir, tmp_path, monkeypatch, capsys):
     """A run with more distinct tokens than int32 ids hold is a validation error."""
     monkeypatch.setattr(pairs, "_MAX_ID", 3)
