@@ -8,8 +8,9 @@ For each scale, a child runs `bench/corpus.py` to write the seed-5
 `python -m wikilink.cli pipeline ... --epochs 3 --batch-size 32` on it,
 importing the package from `--src` (default: this checkout's `src/`).
 One JSON line per scale: the scale, the pipeline child's wall and CPU
-seconds, its own peak RSS in MiB (`ru_maxrss` from `os.wait4`) and the
-SHA-256 of each of its five artifacts.
+seconds, its own peak RSS in MiB (`ru_maxrss` from `os.wait4`), the
+share of the model's 2^hash_bits + 4 slots that hold a stored weight
+(read from `model.json`), and the SHA-256 of each of its five artifacts.
 
 This process imports the standard library only. A child's `ru_maxrss`
 starts from the RSS of the process that forked it, so a probe that
@@ -60,11 +61,16 @@ def probe(scale: float, src: Path, tmp: Path) -> dict:
          "--train-pairs", str(inputs / "train.csv"), "--test-pairs", str(inputs / "test.csv"),
          "--output-dir", str(out), *FLAGS],
         dict(os.environ, PYTHONPATH=str(src)))
+    with open(out / "model.json", encoding="utf-8") as f:
+        model = json.load(f)
     return {
         "scale": scale,
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "own_peak_mib": round(usage.ru_maxrss / 1024, 1),  # Linux reports KiB
+        # one gap per stored weight, and the dense block follows the hashed slots
+        "filled_slot_share": round(
+            len(model["gaps"]) / ((1 << model["config"]["hash_bits"]) + 4), 6),
         "sha256": {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ARTIFACTS},
     }

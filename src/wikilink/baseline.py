@@ -122,25 +122,15 @@ class Prediction(NamedTuple):
     label: int
 
 
-class BaselineModel:
-    """Weights and AdamW moments under a training config."""
+class BaselineModel(NamedTuple):
+    """The weights of the classifier under its training config."""
 
-    __slots__ = ("config", "weights", "m", "v", "step", "loss_history", "buffers")
-
-    def __init__(self, config: TrainConfig, weights: np.ndarray, m: np.ndarray, v: np.ndarray):
-        self.config = config
-        self.weights = weights
-        self.m = m
-        self.v = v
-        self.step = 0
-        self.loss_history: list[float] = []
-        # Two weight-sized buffers adamw_step reuses, so a step allocates nothing.
-        self.buffers: tuple[np.ndarray, np.ndarray] | None = None
+    config: TrainConfig
+    weights: np.ndarray
 
     @classmethod
     def zeros(cls, config: TrainConfig) -> "BaselineModel":
-        weights, m, v = _zero_vectors(config.hash_bits, 3)
-        return cls(config=config, weights=weights, m=m, v=v)
+        return cls(config, _zero_vector(config.hash_bits))
 
     @property
     def dim(self) -> int:
@@ -151,14 +141,28 @@ class BaselineModel:
         return self.dim - 1
 
 
-def _zero_vectors(hash_bits: int, n: int) -> list[np.ndarray]:
-    """n zero vectors of 2^hash_bits + 4 slots, or a ValidationError if the host cannot map them."""
-    dim = (1 << hash_bits) + DENSE_BLOCK_SIZE
+def _zero_vector(hash_bits: int, dtype=np.float64) -> np.ndarray:
+    """A zero vector of 2^hash_bits + 4 slots, or a ValidationError if the host cannot map it."""
+    dim, dtype = (1 << hash_bits) + DENSE_BLOCK_SIZE, np.dtype(dtype)
     try:
-        return [np.zeros(dim) for _ in range(n)]
+        return np.zeros(dim, dtype)
     except MemoryError:
-        raise ValidationError(f"hash_bits {hash_bits} needs {n * 8 * dim:,} bytes for "
-                              f"{n} weight vectors, more than this host can allocate") from None
+        raise ValidationError(f"hash_bits {hash_bits} needs {dtype.itemsize * dim:,} bytes, one "
+                              f"{dtype} per slot, more than this host can allocate") from None
+
+
+class AdamWState:
+    """AdamW over `dim` weights, the bias last: weights, moments, step count,
+    each batch's loss, and two buffers adamw_step reuses so a step allocates nothing."""
+
+    __slots__ = ("config", "weights", "m", "v", "step", "losses", "buffers")
+
+    def __init__(self, config: TrainConfig, dim: int):
+        self.config = config
+        self.weights, self.m, self.v = np.zeros(dim), np.zeros(dim), np.zeros(dim)
+        self.step = 0
+        self.losses: list[float] = []
+        self.buffers = (np.empty(dim), np.empty(dim))
 
 
 class FeatureRows:
@@ -439,30 +443,28 @@ def logistic_loss_and_gradient(
     return loss * inv, np.bincount(rows.indices, weights=terms, minlength=weights.shape[0])
 
 
-def adamw_step(model: BaselineModel, gradient: np.ndarray) -> BaselineModel:
-    """One decoupled-weight-decay Adam update under `model.config`; mutates
-    and returns the model.
+def adamw_step(state: AdamWState, gradient: np.ndarray) -> AdamWState:
+    """One decoupled-weight-decay Adam update under `state.config`; mutates
+    and returns the state.
 
     Moments use beta1/beta2 with bias correction; eps sits outside the
     square root: w -= lr * m_hat / (sqrt(v_hat) + eps). Weight decay is
-    applied directly to every weight except the bias coordinate. `m`, `v`
-    and the weights are updated in place, with the float operations of
-    the formulas in the order written.
+    applied directly to every weight except the bias, the last one. `m`,
+    `v` and the weights are updated in place, with the float operations
+    of the formulas in the order written.
     """
-    config = model.config
+    config = state.config
     if not np.isfinite(gradient).all():
         raise NumericError("non-finite gradient entry; aborting training")
-    if gradient.shape != model.weights.shape:
-        raise ValidationError(
-            f"gradient shape {gradient.shape} does not match weight dimension {model.dim}")
+    if gradient.shape != state.weights.shape:
+        raise ValidationError(f"gradient shape {gradient.shape} does not match "
+                              f"weight dimension {state.weights.shape[0]}")
 
     b1, b2, lr = config.adamw_beta1, config.adamw_beta2, config.learning_rate
-    model.step += 1
-    t = model.step
-    m, v, weights = model.m, model.v, model.weights
-    if model.buffers is None:
-        model.buffers = (np.empty_like(weights), np.empty_like(weights))
-    tmp, update = model.buffers
+    state.step += 1
+    t = state.step
+    m, v, weights = state.m, state.v, state.weights
+    tmp, update = state.buffers
     # m = b1 * m + (1 - b1) * g
     np.multiply(gradient, 1.0 - b1, out=tmp)
     m *= b1
@@ -481,61 +483,60 @@ def adamw_step(model: BaselineModel, gradient: np.ndarray) -> BaselineModel:
     update /= tmp
     if config.weight_decay:
         np.multiply(weights, lr * config.weight_decay, out=tmp)
-        tmp[model.bias_index] = 0.0
+        tmp[-1] = 0.0
         update += tmp
     weights -= update
     if not np.isfinite(weights).all():
         raise NumericError("non-finite weights after update")
-    return model
+    return state
 
 
-def train(examples: Sequence[SentencePair], config: TrainConfig,
-          table: NodeTable) -> BaselineModel:
-    """Mini-batch AdamW on logistic loss; deterministic for a fixed seed.
-
-    The loop runs over the slots that some row touches, renumbered in
-    sorted order; the rest get a zero gradient at every step, so AdamW
-    would leave their weight, m and v at 0.0. A bincount adds each
-    slot's terms in row order under any renumbering, so the model is the
-    dense loop's bit for bit (`tests/oracles.py` holds that loop).
+def fit(rows: FeatureRows, labels: Sequence[int],
+        config: TrainConfig) -> tuple[np.ndarray, AdamWState]:
+    """Mini-batch AdamW on logistic loss over the slots some row touches,
+    renumbered in place to their ranks (the bias, in every row, stays last);
+    deterministic for a fixed seed. Returns the slots, ascending, and the
+    final state over them: the dense loop's state at `slots`, bit for bit
+    (`tests/oracles.py` holds that loop). An untouched slot gets a zero
+    gradient at every step, so AdamW leaves its weight, m and v at 0.0, and
+    a bincount adds each slot's terms in row order under any renumbering.
     """
-    if not examples:
-        raise ValidationError("cannot train on an empty example set")
-    for sp in examples:
-        if sp.label is None:
-            raise ValidationError(f"pair {sp.pair_id} is unlabeled")
-
-    _check_hash_bits(table, config.hash_bits)
-    rows = featurize(examples, table)
-    labels = [sp.label for sp in examples]
-    model = BaselineModel.zeros(config)
     # One int32 array over the hash space (hash_bits <= 30): 1 at each touched
     # slot, then its running count, so a touched slot's rank is its count - 1.
-    # The rows are this call's own, so their slots are renumbered in place.
-    rank = np.zeros(model.dim, dtype=np.int32)
+    rank = _zero_vector(config.hash_bits, np.int32)
     rank[rows.indices] = 1
     slots = np.flatnonzero(rank)
     np.cumsum(rank, out=rank)
     np.subtract(rank[rows.indices], 1, out=rows.indices)
     del rank
-    # The bias is the last slot and in every row, so it stays last and
-    # `compact.bias_index` is its position.
-    compact = BaselineModel(config, np.zeros(slots.shape[0]),
-                            np.zeros(slots.shape[0]), np.zeros(slots.shape[0]))
+    state = AdamWState(config, slots.shape[0])
     rng = random.Random(config.seed)
-    order = list(range(len(examples)))
+    order = list(range(len(labels)))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad = logistic_loss_and_gradient(
-                compact.weights, rows.take(batch), [labels[i] for i in batch])
-            compact.loss_history.append(loss)
-            adamw_step(compact, grad)
-    model.weights[slots] = compact.weights
-    model.m[slots] = compact.m
-    model.v[slots] = compact.v
-    model.step, model.loss_history = compact.step, compact.loss_history
+                state.weights, rows.take(batch), [labels[i] for i in batch])
+            state.losses.append(loss)
+            adamw_step(state, grad)
+    return slots, state
+
+
+def train(examples: Sequence[SentencePair], config: TrainConfig,
+          table: NodeTable) -> BaselineModel:
+    """The weights `fit` trains on the examples' rows, back at their slots. They
+    are allocated first, so a hash_bits the host cannot map fails before any step."""
+    if not examples:
+        raise ValidationError("cannot train on an empty example set")
+    for sp in examples:
+        if sp.label is None:
+            raise ValidationError(f"pair {sp.pair_id} is unlabeled")
+    _check_hash_bits(table, config.hash_bits)
+    rows = featurize(examples, table)
+    model = BaselineModel.zeros(config)
+    slots, state = fit(rows, [sp.label for sp in examples], config)
+    model.weights[slots] = state.weights
     return model
 
 
@@ -611,8 +612,8 @@ def load_model(stream: IO) -> BaselineModel:
     and in range; weights that are not the canonical base64 of a whole
     number of finite float64 values; gaps that are not one non-negative
     JSON int per stored weight, or that place a weight past the last
-    slot hash_bits gives. Weight vectors the host cannot allocate at the
-    config's hash_bits are a ValidationError too.
+    slot hash_bits gives. A weight vector the host cannot allocate at the
+    config's hash_bits is a ValidationError too.
     """
     try:
         payload = json.load(stream)
@@ -649,7 +650,6 @@ def load_model(stream: IO) -> BaselineModel:
         raise ValidationError("model weights must be finite")
     dim = (1 << config.hash_bits) + DENSE_BLOCK_SIZE
     slots = _stored_slots(payload["gaps"], weights.shape[0], dim)
-    # Lazily mapped zeros: predict never reads m or v, so their pages stay unmapped.
-    dense, m, v = _zero_vectors(config.hash_bits, 3)
-    dense[slots] = weights
-    return BaselineModel(config=config, weights=dense, m=m, v=v)
+    model = BaselineModel.zeros(config)
+    model.weights[slots] = weights
+    return model

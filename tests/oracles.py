@@ -31,8 +31,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from wikilink.baseline import (
+    DENSE_BLOCK_SIZE,
     FEATURE_LAYOUT,
     MODEL_FORMAT,
+    AdamWState,
     BaselineModel,
     FeatureRows,
     NodeTable,
@@ -284,12 +286,12 @@ def dense_gradient(gradient: dict[int, float], dim: int) -> np.ndarray:
     return dense
 
 
-def reference_train(examples: list[TuplePair], config) -> BaselineModel:
-    """Mini-batch AdamW over the whole 2^hash_bits + 4 weight vector."""
+def reference_train(examples: list[TuplePair], config) -> AdamWState:
+    """Mini-batch AdamW over the whole 2^hash_bits + 4 weight vector; the final state."""
     tokens, pairs = table_pairs(examples)
     rows = featurize(pairs, NodeTable(tokens, config.hash_bits))
     labels = [sp.label for sp in examples]
-    model = BaselineModel.zeros(config)
+    state = AdamWState(config, (1 << config.hash_bits) + DENSE_BLOCK_SIZE)
     rng = random.Random(config.seed)
     order = list(range(len(examples)))
     for _ in range(config.epochs):
@@ -297,10 +299,10 @@ def reference_train(examples: list[TuplePair], config) -> BaselineModel:
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad = logistic_loss_and_gradient(
-                model.weights, rows.take(batch), [labels[i] for i in batch])
-            model.loss_history.append(loss)
-            adamw_step(model, grad)
-    return model
+                state.weights, rows.take(batch), [labels[i] for i in batch])
+            state.losses.append(loss)
+            adamw_step(state, grad)
+    return state
 
 
 def _stored_weights(model: BaselineModel) -> tuple[list[int], list[float]]:

@@ -149,21 +149,22 @@ def test_gradient_check():
 def test_adamw_scalar_checks():
     cfg = baseline.TrainConfig(weight_decay=0.0)
     # single step from zero state, single-coordinate gradient
+    dim = (1 << cfg.hash_bits) + baseline.DENSE_BLOCK_SIZE
     for g in (2.0, -0.5, 1e-3):
-        model = baseline.BaselineModel.zeros(cfg)
-        baseline.adamw_step(model, dense_gradient({1: g}, model.dim))
+        state = baseline.AdamWState(cfg, dim)
+        baseline.adamw_step(state, dense_gradient({1: g}, dim))
         expected = scalar_adamw_trace(
             0.0, [g], cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, 0.0,
         )
-        assert abs(model.weights[1] - expected) <= 1e-12 * abs(expected)
+        assert abs(state.weights[1] - expected) <= 1e-12 * abs(expected)
     # decoupled decay with zero gradient
     decay_cfg = baseline.TrainConfig(weight_decay=0.25)
-    model = baseline.BaselineModel.zeros(decay_cfg)
-    model.weights[0] = 1.5
-    baseline.adamw_step(model, dense_gradient({}, model.dim))
+    state = baseline.AdamWState(decay_cfg, dim)
+    state.weights[0] = 1.5
+    baseline.adamw_step(state, dense_gradient({}, dim))
     expected = 1.5 - decay_cfg.learning_rate * 0.25 * 1.5
-    assert abs(model.weights[0] - expected) <= 1e-12 * abs(expected)
+    assert abs(state.weights[0] - expected) <= 1e-12 * abs(expected)
     print("\nPASS AdamW scalar checks (rel tol 1e-12)")
 
 

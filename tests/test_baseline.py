@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wikilink.baseline import (
     DENSE_BLOCK_SIZE,
+    AdamWState,
     BaselineModel,
     Prediction,
     TrainConfig,
@@ -19,6 +20,7 @@ from wikilink.baseline import (
     NodeTable,
     adamw_step,
     featurize,
+    fit,
     fnv1a_64,
     load_model,
     logistic_loss_and_gradient,
@@ -84,9 +86,14 @@ def loss_and_gradient(weights, batch):
         weights, rows_from_dicts([f for f, _ in batch]), [y for _, y in batch])
 
 
-def step(model, gradient):
+def zero_state(config):
+    """An AdamW state over all 2^hash_bits + 4 slots."""
+    return AdamWState(config, (1 << config.hash_bits) + DENSE_BLOCK_SIZE)
+
+
+def step(state, gradient):
     """adamw_step with an index -> value gradient spread over the weights."""
-    return adamw_step(model, dense_gradient(gradient, model.dim))
+    return adamw_step(state, dense_gradient(gradient, state.weights.shape[0]))
 
 
 class TestFeaturize:
@@ -245,8 +252,8 @@ class TestSharedTableMatchesScalarOracle:
             assert [row_items(rows, r) for r in range(len(rows))] == [
                 list(reference_featurize(t, hash_bits).items()) for t in as_tuples(records)]
         cfg = TrainConfig(hash_bits=hash_bits, batch_size=3, epochs=2, seed=seed)
-        model = train(train_pairs, cfg, table)
-        assert_same_model(model, reference_train(as_tuples(train_records), cfg))
+        model = assert_matches_dense_oracle(train_pairs, table, cfg,
+                                            reference_train(as_tuples(train_records), cfg))
         assert [p.probability for p in predict(model, test_pairs, table)] == [
             sigmoid(reference_dot(model.weights, reference_featurize(t, hash_bits)))
             for t in as_tuples(test_records)]
@@ -262,77 +269,78 @@ class TestSharedTableMatchesScalarOracle:
 class TestAdamW:
     def test_zero_gradient_no_decay(self):
         cfg = TrainConfig(weight_decay=0.0)
-        model = BaselineModel.zeros(cfg)
-        step(model, {0: 0.0})
-        assert model.step == 1
-        assert not model.weights.any()
+        state = zero_state(cfg)
+        step(state, {0: 0.0})
+        assert state.step == 1
+        assert not state.weights.any()
 
     @pytest.mark.parametrize("g", [3.7, -0.004, 1e6])
     def test_single_step_matches_scalar_trace(self, g):
         cfg = TrainConfig(weight_decay=0.0)
-        model = BaselineModel.zeros(cfg)
-        step(model, {5: g})
+        state = zero_state(cfg)
+        step(state, {5: g})
         expected = scalar_adamw_trace(
             0.0, [g], cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, 0.0,
         )
-        assert model.weights[5] == pytest.approx(expected, rel=1e-12)
+        assert state.weights[5] == pytest.approx(expected, rel=1e-12)
         # and the closed form for step one: -lr * g / (|g| + eps)
-        assert model.weights[5] == pytest.approx(
+        assert state.weights[5] == pytest.approx(
             -cfg.learning_rate * g / (abs(g) + cfg.adamw_eps), rel=1e-12
         )
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_in_place_steps_equal_formulas_bit_for_bit(self, weight_decay):
         cfg = TrainConfig(hash_bits=6, weight_decay=weight_decay)
-        model = BaselineModel.zeros(cfg)
+        state = zero_state(cfg)
+        dim = state.weights.shape[0]
         rng = np.random.default_rng(5)
-        model.weights[:] = rng.normal(size=model.dim)
-        w, m, v = model.weights.copy(), model.m.copy(), model.v.copy()
+        state.weights[:] = rng.normal(size=dim)
+        w, m, v = state.weights.copy(), state.m.copy(), state.v.copy()
         for t in range(1, 6):
-            g = rng.normal(size=model.dim) * (rng.random(model.dim) < 0.3)
-            adamw_step(model, g)
-            w, m, v = reference_adamw_arrays(w, m, v, g, t, cfg, model.bias_index)
-            assert model.weights.tobytes() == w.tobytes()
-            assert model.m.tobytes() == m.tobytes() and model.v.tobytes() == v.tobytes()
+            g = rng.normal(size=dim) * (rng.random(dim) < 0.3)
+            adamw_step(state, g)
+            w, m, v = reference_adamw_arrays(w, m, v, g, t, cfg, dim - 1)
+            assert state.weights.tobytes() == w.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_decay_only_shrinks_weight(self):
         cfg = TrainConfig(weight_decay=0.1)
-        model = BaselineModel.zeros(cfg)
-        model.weights[3] = 2.0
-        step(model, {})
-        assert model.weights[3] == pytest.approx(
+        state = zero_state(cfg)
+        state.weights[3] = 2.0
+        step(state, {})
+        assert state.weights[3] == pytest.approx(
             2.0 - cfg.learning_rate * 0.1 * 2.0, rel=1e-12
         )
 
     def test_decay_skips_bias(self):
         cfg = TrainConfig(weight_decay=0.1)
-        model = BaselineModel.zeros(cfg)
-        model.weights[model.bias_index] = 2.0
-        step(model, {})
-        assert model.weights[model.bias_index] == 2.0
+        state = zero_state(cfg)
+        state.weights[-1] = 2.0
+        step(state, {})
+        assert state.weights[-1] == 2.0
 
     def test_multi_step_matches_scalar_trace(self):
         cfg = TrainConfig(weight_decay=0.05)
-        model = BaselineModel.zeros(cfg)
+        state = zero_state(cfg)
         gs = [0.3, -1.2, 0.7, 0.0, 2.5]
         for g in gs:
-            step(model, {2: g})
+            step(state, {2: g})
         expected = scalar_adamw_trace(
             0.0, gs, cfg.learning_rate, cfg.adamw_beta1, cfg.adamw_beta2,
             cfg.adamw_eps, cfg.weight_decay,
         )
-        assert model.weights[2] == pytest.approx(expected, rel=1e-12)
+        assert state.weights[2] == pytest.approx(expected, rel=1e-12)
 
     def test_non_finite_gradient_rejected(self):
-        model = BaselineModel.zeros(TrainConfig())
+        state = zero_state(TrainConfig())
         with pytest.raises(NumericError):
-            step(model, {0: float("nan")})
+            step(state, {0: float("nan")})
 
     def test_out_of_range_index_rejected(self):
-        model = BaselineModel.zeros(TrainConfig(hash_bits=4))
+        state = zero_state(TrainConfig(hash_bits=4))
         with pytest.raises(ValidationError):
-            adamw_step(model, dense_gradient({10**6: 1.0}, 10**6 + 1))
+            adamw_step(state, dense_gradient({10**6: 1.0}, 10**6 + 1))
 
 
 class TestGradient:
@@ -391,10 +399,11 @@ class TestTrain:
 
     def test_first_epoch_loss_decreases_in_aggregate(self, fixture_sentence_pairs):
         cfg = TrainConfig(epochs=2)
-        model = train_items(fixture_sentence_pairs, cfg)
+        pairs, table = over_table(fixture_sentence_pairs, cfg.hash_bits)
+        _, state = fit(featurize(pairs, table), [sp.label for sp in pairs], cfg)
         batches_per_epoch = math.ceil(len(fixture_sentence_pairs) / cfg.batch_size)
-        first = model.loss_history[:batches_per_epoch]
-        later = model.loss_history[batches_per_epoch : 2 * batches_per_epoch]
+        first = state.losses[:batches_per_epoch]
+        later = state.losses[batches_per_epoch : 2 * batches_per_epoch]
         assert sum(later) < sum(first)
 
     def test_single_example_moves_toward_label(self):
@@ -427,25 +436,46 @@ class TestTrain:
             build()
 
     def test_peak_memory_per_hash_slot(self, fixture_sentence_pairs):
-        """Training the fixture at hash_bits 22 peaks under 32 B per slot: the
-        24 B of weights, m and v, and one int32 rank per slot to renumber the
-        touched slots, with no int64 array over the hash space."""
+        """Training the fixture at hash_bits 22 peaks under 16 B per slot: the
+        8 B of the weights and one int32 rank per slot to renumber the touched
+        slots. AdamW's weights, m and v span the touched slots only, and no
+        int64 array spans the hash space."""
         cfg = TrainConfig(hash_bits=22)
         pairs, table = over_table(fixture_sentence_pairs, cfg.hash_bits)
-        tracemalloc.start()
-        try:
-            train(pairs, cfg, table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * ((1 << 22) + DENSE_BLOCK_SIZE)
+        _, peak = traced_peak(lambda: train(pairs, cfg, table))
+        assert peak < 16 * ((1 << 22) + DENSE_BLOCK_SIZE)
 
 
-def assert_same_model(got, want):
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_matches_dense_oracle(pairs, table, config, oracle):
+    """`train`'s weights are the dense oracle's bit for bit, and `fit`'s
+    final state is the oracle's at the touched slots: weights, m, v, step
+    and losses. The oracle's weights, m and v are +0.0 on every other slot,
+    which is why `train` may step over the touched slots alone. Returns the
+    trained model."""
+    model = train(pairs, config, table)
+    assert model.weights.tobytes() == oracle.weights.tobytes()
+    slots, state = fit(featurize(pairs, table), [sp.label for sp in pairs], config)
     for name in ("weights", "m", "v"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.step == want.step
-    assert np.array(got.loss_history).tobytes() == np.array(want.loss_history).tobytes()
+        dense = getattr(oracle, name)
+        assert getattr(state, name).tobytes() == dense[slots].tobytes(), name
+        assert not np.delete(dense, slots).view(np.int64).any(), name  # +0.0 has no bit set
+    assert state.step == oracle.step
+    assert np.array(state.losses).tobytes() == np.array(oracle.losses).tobytes()
+    return model
+
+
+def assert_items_match_dense_oracle(examples, config):
+    pairs, table = over_table(examples, config.hash_bits)
+    return assert_matches_dense_oracle(pairs, table, config, reference_train(examples, config))
 
 
 class TestTrainMatchesDenseOracle:
@@ -465,7 +495,7 @@ class TestTrainMatchesDenseOracle:
         examples = [pair(*distinct[i % len(distinct)], pair_id=f"p{i}") for i in range(n)]
         cfg = TrainConfig(hash_bits=hash_bits, weight_decay=weight_decay,
                           batch_size=batch_size, epochs=epochs, seed=seed)
-        assert_same_model(train_items(examples, cfg), reference_train(examples, cfg))
+        assert_items_match_dense_oracle(examples, cfg)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_every_slot_touched(self, weight_decay):
@@ -474,7 +504,7 @@ class TestTrainMatchesDenseOracle:
         cfg = TrainConfig(hash_bits=2, weight_decay=weight_decay, batch_size=5, epochs=2)
         dim = (1 << cfg.hash_bits) + DENSE_BLOCK_SIZE
         assert np.unique(featurize_items(examples, cfg.hash_bits).indices).size == dim
-        assert_same_model(train_items(examples, cfg), reference_train(examples, cfg))
+        assert_items_match_dense_oracle(examples, cfg)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_only_dense_block_touched(self, weight_decay):
@@ -482,14 +512,12 @@ class TestTrainMatchesDenseOracle:
         cfg = TrainConfig(hash_bits=8, weight_decay=weight_decay, batch_size=3, epochs=3)
         touched = np.unique(featurize_items(examples, cfg.hash_bits).indices)
         assert touched.tolist() == [(1 << 8) + k for k in range(DENSE_BLOCK_SIZE)]
-        model = train_items(examples, cfg)
-        assert_same_model(model, reference_train(examples, cfg))
+        model = assert_items_match_dense_oracle(examples, cfg)
         assert not model.weights[: 1 << 8].any()
 
     def test_fixture(self, fixture_sentence_pairs):
         cfg = TrainConfig()
-        assert_same_model(train_items(fixture_sentence_pairs, cfg),
-                          reference_train(fixture_sentence_pairs, cfg))
+        assert_items_match_dense_oracle(fixture_sentence_pairs, cfg)
 
 
 class TestPredict:
@@ -554,9 +582,7 @@ model_weight = st.just(0.0) | special_weight | st.floats(allow_nan=False, allow_
 
 
 def model_with(weights, hash_bits):
-    weights = np.asarray(weights, dtype=float)
-    return BaselineModel(TrainConfig(hash_bits=hash_bits), weights,
-                         np.zeros_like(weights), np.zeros_like(weights))
+    return BaselineModel(TrainConfig(hash_bits=hash_bits), np.asarray(weights, dtype=float))
 
 
 def saved(model):
@@ -599,19 +625,17 @@ class TestSaveMatchesJsonOracle:
     def test_saving_allocates_nothing_hash_space_sized(self):
         """A hash_bits 22 model, 32 MiB of weights, of which four are stored
         (one of them -0.0), saves under a 64 KiB tracemalloc peak: finding the
-        stored slots builds no mask over the hash space."""
+        stored slots builds no mask over the hash space. Loading it peaks
+        under 12 B per slot: one float64 vector, the weights."""
         model = model_with(np.zeros((1 << 22) + DENSE_BLOCK_SIZE), 22)
         model.weights[[3, 1000, 1 << 21, (1 << 22) + 3]] = [1.5, -0.0, -2.0, 0.25]
         buf = io.StringIO()
-        tracemalloc.start()
-        try:
-            save_model(model, buf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_model(model, buf))
         assert peak < 64 * 1024
         assert json.loads(buf.getvalue())["gaps"] == [3, 996, (1 << 21) - 1001, (1 << 21) + 2]
-        assert load_model(io.StringIO(buf.getvalue())).weights.tobytes() == model.weights.tobytes()
+        loaded, peak = traced_peak(lambda: load_model(io.StringIO(buf.getvalue())))
+        assert peak < 12 * ((1 << 22) + DENSE_BLOCK_SIZE)
+        assert loaded.weights.tobytes() == model.weights.tobytes()
 
     def test_hash_bits_30_bound_needs_no_vector(self):
         """A hash_bits 30 vector is 8 GiB, more than a small host lends
@@ -625,9 +649,9 @@ class TestSaveMatchesJsonOracle:
 
 
 class TestUnallocatableWeights:
-    """hash_bits 30 needs three vectors of 2^30 + 4 float64 slots, 24 GiB."""
+    """hash_bits 30 needs a vector of 2^30 + 4 float64 slots, 8 GiB."""
 
-    NEEDS = "hash_bits 30 needs 25,769,803,872 bytes"
+    NEEDS = "hash_bits 30 needs 8,589,934,624 bytes"
 
     def test_zero_model(self, limit_zeros):
         limit_zeros(1 << 20)

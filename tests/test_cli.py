@@ -14,6 +14,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -953,9 +954,30 @@ def test_unallocatable_hash_bits_exit_3(fixture_dir, tmp_path, limit_zeros, caps
     assert main(["predict", "--model", str(model), "--pairs", str(fixture_dir / "test.csv"),
                  "--nodes", str(fixture_dir / "nodes.tsv"), "--output", str(tmp_path / "p.csv")]) == 3
     err = capsys.readouterr().err
-    assert err.count("error [validation]: hash_bits 30 needs 25,769,803,872 bytes") == 2
+    assert err.count("error [validation]: hash_bits 30 needs 8,589,934,624 bytes") == 2
     assert "Traceback" not in err
     assert not out.exists() and not (tmp_path / "p.csv").exists()
+
+
+def test_unallocatable_slot_ranks_exit_3(fixture_dir, tmp_path, monkeypatch, capsys):
+    """`train` renumbers the touched slots with one int32 rank per hash
+    slot; a host that cannot map that array exits 3 like one that cannot
+    map the weights, and writes no model."""
+    zeros = np.zeros
+
+    def no_int32(shape, dtype=float, *args, **kwargs):
+        if np.dtype(dtype) == np.int32:
+            raise MemoryError(f"cannot allocate {shape} int32")
+        return zeros(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_int32)
+    model = tmp_path / "model.json"
+    assert main(["train", "--pairs", str(fixture_dir / "train.csv"),
+                 "--nodes", str(fixture_dir / "nodes.tsv"), "--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert "error [validation]: hash_bits 18 needs 1,048,592 bytes, one int32 per slot" in err
+    assert "Traceback" not in err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])

@@ -20,9 +20,11 @@ def test_scale_1_digests_match_an_in_process_run(monkeypatch, tmp_path):
     assert proc.returncode == 0, proc.stderr
     line, = proc.stdout.splitlines()
     result = json.loads(line)
-    assert set(result) == {"scale", "wall_s", "cpu_s", "own_peak_mib", "sha256"}
+    assert set(result) == {"scale", "wall_s", "cpu_s", "own_peak_mib", "filled_slot_share",
+                           "sha256"}
     assert result["scale"] == 1.0
     assert result["wall_s"] > 0 and result["cpu_s"] > 0 and result["own_peak_mib"] > 0
+    assert 0 < result["filled_slot_share"] < 1
     assert set(result["sha256"]) == ARTIFACTS
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
