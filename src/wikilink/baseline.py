@@ -89,8 +89,8 @@ class TrainConfig(_TrainFields):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        if not 1 <= self.max_tokens <= 2**31 - 1:  # a node's token counts are int32
+            raise ValueError("max_tokens must be in [1, 2147483647]")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.adamw_eps <= 0:
@@ -131,14 +131,6 @@ class BaselineModel(NamedTuple):
     @classmethod
     def zeros(cls, config: TrainConfig) -> "BaselineModel":
         return cls(config, _zero_vector(config.hash_bits))
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def bias_index(self) -> int:
-        return self.dim - 1
 
 
 def _zero_vector(hash_bits: int, dtype=np.float64) -> np.ndarray:

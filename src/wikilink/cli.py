@@ -114,6 +114,8 @@ def settings(args: argparse.Namespace) -> dict[str, dict]:
                         value = baseline.TRAIN_FIELD_TYPES[key](value)
                     elif section != "paths":  # [clean] and [run] hold booleans
                         value = parser.getboolean(section, key)
+                    elif "\0" in value:  # no file system path holds one
+                        raise ValueError(f"[paths] {key} holds a NUL byte")
                     given[section][key] = value
         for section, keys in _SECTION_KEYS.items():
             given[section].update({key: getattr(args, key) for key in keys

@@ -62,6 +62,10 @@ def _lines(lines: Iterable[str], start: int) -> Iterator[tuple[int, str]]:
 def _parse_node_id(token: str, line_no: int) -> int:
     if not (token.isascii() and token.isdigit()):  # str.isdigit alone takes "²" and "١٢"
         raise ParseError(f"node id must be a non-negative integer, got {token!r}", line_no)
+    if len(token) > 20:  # MAX_NODE_ID's digits; int() refuses more than 4,300
+        token = token.lstrip("0") or "0"
+        if len(token) > 20:
+            raise ParseError(f"node id of {len(token)} digits exceeds 64 bits", line_no)
     value = int(token)
     if value > MAX_NODE_ID:
         raise ParseError(f"node id {value} exceeds 64 bits", line_no)

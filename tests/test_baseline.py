@@ -200,7 +200,7 @@ class TestNodeReuseMatchesScalarOracle:
         assert [row_items(rows, r) for r in range(len(rows))] == [list(f.items()) for f in oracle]
 
         model = BaselineModel.zeros(TrainConfig(hash_bits=hash_bits))
-        model.weights[:] = np.random.default_rng(seed).normal(0.0, 2.0, model.dim)
+        model.weights[:] = np.random.default_rng(seed).normal(0.0, 2.0, model.weights.shape[0])
         assert [p.probability for p in predict_items(model, pairs)] == [
             sigmoid(reference_dot(model.weights, f)) for f in oracle]
 
@@ -428,6 +428,7 @@ class TestTrain:
     @pytest.mark.parametrize("build", [
         lambda: TrainConfig(0),
         lambda: TrainConfig(epochs=0),
+        lambda: TrainConfig(max_tokens=2**31),  # past a token's int32 count
         lambda: TrainConfig(learning_rate=math.inf),
         lambda: TrainConfig()._replace(hash_bits=31),
     ])
@@ -529,7 +530,7 @@ class TestPredict:
     def test_below_threshold_is_zero(self):
         cfg = TrainConfig()
         model = BaselineModel.zeros(cfg)
-        model.weights[model.bias_index] = -0.1
+        model.weights[-1] = -0.1
         assert predict_items(model, [pair(["a"], ["b"])])[0].label == 0
 
     def test_monotone_in_present_feature_weight(self):

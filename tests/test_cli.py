@@ -722,6 +722,12 @@ class TestConfigFile:
 BAD_SETTINGS = {
     "epochs flag zero": ("", ["--epochs", "0"], None, 3, "epochs"),
     "max-tokens flag zero": ("", ["--max-tokens", "0"], None, 3, "max_tokens"),
+    "max-tokens flag past 64 bits": ("", ["--max-tokens", str(2**64)], None, 3, "max_tokens"),
+    "max_tokens in config past 64 bits": (f"[train]\nmax_tokens = {2**63}\n", [], None, 3,
+                                          "max_tokens"),
+    "NUL in a [paths] value": (b"[paths]\nmodel = m\0.json\n", [], None, 3, "model"),
+    "NUL in a [paths] value a flag overrides": (b"[paths]\nnodes = n\0.tsv\n", [], None, 3,
+                                                "nodes"),
     "fractional epochs in config": ("[train]\nepochs = 2.5\n", [], None, 3, "2.5"),
     "bad boolean in config": ("[run]\nstrict_join = maybe\n", [], None, 3, "maybe"),
     "unknown section": ("[pairs]\nmax_tokens = 2\n", [], None, 3, "[pairs]"),
@@ -768,6 +774,7 @@ def test_bad_settings_and_input_exit_with_code(case, fixture_dir, tmp_path, caps
     assert main(pipeline_argv(fixture_dir, tmp_path / "out", "--config", str(cfg), *extra)) == code
     err = capsys.readouterr().err
     assert "error [" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -42,6 +42,16 @@ class TestParseNodes:
         with pytest.raises(ParseError, match="line 1"):
             list(parse_nodes(io.StringIO(f"{token}\ty\n")))
 
+    # int() refuses more than 4,300 digits, and the error does not echo them.
+    @pytest.mark.parametrize("digits", [21, 5000])
+    def test_overlong_id_rejected_unechoed(self, digits):
+        message = f"^line 1: node id of {digits} digits exceeds 64 bits$"
+        with pytest.raises(ParseError, match=message):
+            list(parse_nodes(io.StringIO("9" * digits + "\ty\n")))
+
+    def test_zero_padded_id_of_any_length(self):
+        assert list(parse_nodes(io.StringIO("0" * 5000 + "7\ty\n"))) == [NodeRecord(7, "y")]
+
     def test_missing_text_counts_warning(self):
         counters = ParseCounters()
         recs = list(parse_nodes(io.StringIO("5\n"), counters))
@@ -92,6 +102,13 @@ class TestParsePairs:
         fields = ["p0", "1", "2", "1"]
         fields[column] = token
         with pytest.raises(ParseError, match="line 2"):
+            list(parse_pairs(io.StringIO("id,id1,id2,label\n" + ",".join(fields) + "\n")))
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_overlong_node_id_rejected(self, column):
+        fields = ["p0", "1", "2", "1"]
+        fields[column] = "9" * 5000
+        with pytest.raises(ParseError, match="^line 2: node id of 5000 digits exceeds 64 bits$"):
             list(parse_pairs(io.StringIO("id,id1,id2,label\n" + ",".join(fields) + "\n")))
 
     def test_crlf_accepted(self):

@@ -1,5 +1,6 @@
-"""`scripts/scale_probe.py`, run as it is at scale 1: one JSON line whose
-digests are those of the same pipeline run in this process."""
+"""`scripts/scale_probe.py`, run as it is on the scale-1 `train-heavy` corpus
+with two timed children: one JSON line of quartiles, whose digests are
+those of the same pipeline run in this process."""
 
 import hashlib
 import importlib.util
@@ -12,20 +13,25 @@ from wikilink.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 ARTIFACTS = {"model.json", "predictions.csv", "submission.csv", "prepared.tsv", "nodes.clean.tsv"}
+PHASES = ("first_line_s", "import_s", "main_s", "exit_s")
 
 
 def test_scale_1_digests_match_an_in_process_run(monkeypatch, tmp_path):
     proc = subprocess.run([sys.executable, "-B", str(ROOT / "scripts" / "scale_probe.py"),
-                           "--src", str(ROOT / "src"), "1"], capture_output=True, text=True)
+                           "--src", str(ROOT / "src"), "--workload", "train-heavy", "--runs", "2",
+                           "1"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     line, = proc.stdout.splitlines()
     result = json.loads(line)
-    assert set(result) == {"scale", "wall_s", "cpu_s", "own_peak_mib", "filled_slot_share",
-                           "sha256"}
-    assert result["scale"] == 1.0
-    assert result["wall_s"] > 0 and result["cpu_s"] > 0 and result["own_peak_mib"] > 0
+    summaries = (*PHASES, "wall_s", "cpu_s", "own_peak_mib")
+    assert set(result) == {"workload", "scale", "runs", *summaries, "filled_slot_share", "sha256"}
+    assert (result["workload"], result["scale"], result["runs"]) == ("train-heavy", 1.0, 2)
+    for key in summaries:
+        assert set(result[key]) == {"median", "q1", "q3"}, key
+        assert 0 < result[key]["q1"] <= result[key]["median"] <= result[key]["q3"], key
+    # Of two runs the median is the mean, so the phases' medians add up to the wall time's.
+    assert abs(sum(result[key]["median"] for key in PHASES) - result["wall_s"]["median"]) < 1e-3
     assert 0 < result["filled_slot_share"] < 1
-    assert set(result["sha256"]) == ARTIFACTS
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("corpus", ROOT / "bench" / "corpus.py")
@@ -35,8 +41,7 @@ def test_scale_1_digests_match_an_in_process_run(monkeypatch, tmp_path):
     inputs = corpus.write_inputs(corpus.generate("train-heavy", 5, 1.0), tmp_path / "inputs")
     out = tmp_path / "out"
     assert main(["pipeline", "--nodes", str(inputs["nodes.tsv"]),
-                 "--train-pairs", str(inputs["train.csv"]),
-                 "--test-pairs", str(inputs["test.csv"]), "--epochs", "3", "--batch-size", "32",
-                 "--output-dir", str(out)]) == 0
+                 "--train-pairs", str(inputs["train.csv"]), "--test-pairs", str(inputs["test.csv"]),
+                 "--output-dir", str(out), *corpus.WORKLOADS["train-heavy"].flags]) == 0
     assert result["sha256"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                                 for name in ARTIFACTS}
