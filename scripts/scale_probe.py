@@ -21,10 +21,13 @@ One JSON line per workload and scale holds the median, q1 and q3 of each
 phase, of the wall and CPU seconds (`wall_s`, `cpu_s`) and of the own
 peak RSS in MiB (`own_peak_mib`, `ru_maxrss` from `os.wait4`); the share
 of the model's 2^hash_bits + 4 slots that hold a stored weight
-(`filled_slot_share`, read from `model.json`); and the SHA-256 of each of
-the five artifacts. A run whose artifacts differ from the first run's
-stops the probe with a non-zero exit. The probe does not pin the hash
-seed, so this also checks that the artifacts do not depend on it.
+(`filled_slot_share`, read from `model.json`); the macro F1 of
+`predictions.csv` against the test gold, which the corpus child writes
+outside the pipeline's inputs (`macro_f1`, by `wikilink.evaluate`'s
+formulas); and the SHA-256 of each of the five artifacts. A run whose
+artifacts differ from the first run's stops the probe with a non-zero
+exit. The probe does not pin the hash seed, so this also checks that the
+artifacts do not depend on it.
 Nothing is normalised for host speed.
 
 This process imports the standard library only. A child's `ru_maxrss`
@@ -54,8 +57,10 @@ BENCH = dict(os.environ, PYTHONPATH=str(ROOT / "bench"))  # children that import
 CORPUS = f"""import json, sys
 from pathlib import Path
 import corpus
-name, scale, out = sys.argv[1:]
-corpus.write_inputs(corpus.generate(name, {SEED}, float(scale)), Path(out))
+name, scale, out, gold = sys.argv[1:]
+data = corpus.generate(name, {SEED}, float(scale))
+corpus.write_inputs(data, Path(out))
+Path(gold).write_text(json.dumps(dict(zip(data.test_ids, data.test_gold))))
 print(json.dumps(corpus.WORKLOADS[name].flags))
 """
 CHILD = """import time
@@ -95,10 +100,29 @@ def quartiles(samples: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def macro_f1(predictions: Path, gold: dict[str, int]) -> float:
+    """The mean over both classes of F1 with that class as the positive one,
+    by the formulas of `wikilink.evaluate`, so the float is the same."""
+    counts = {(y, yhat): 0 for y in (0, 1) for yhat in (0, 1)}  # (gold, predicted)
+    lines = predictions.read_text().splitlines()[1:]  # after the header `id,prob,label`
+    if len(lines) != len(gold):
+        sys.exit(f"{predictions} holds {len(lines)} predictions for {len(gold)} test pairs")
+    for pair_id, _, label in (line.split(",") for line in lines):
+        counts[gold[pair_id], int(label)] += 1
+
+    def f1(tp: int, fp: int, fn: int) -> float:
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+    return (f1(counts[0, 0], counts[1, 0], counts[0, 1])
+            + f1(counts[1, 1], counts[0, 1], counts[1, 0])) / 2
+
+
 def probe(name: str, scale: float, runs: int, env: dict, tmp: Path) -> dict:
-    inputs, out, stamps = tmp / "inputs", tmp / "out", tmp / "stamps"
-    flags = json.loads(run([sys.executable, "-B", "-c", CORPUS, name, str(scale), str(inputs)],
-                           BENCH)[0])
+    inputs, out, stamps, gold = tmp / "inputs", tmp / "out", tmp / "stamps", tmp / "gold.json"
+    flags = json.loads(run([sys.executable, "-B", "-c", CORPUS, name, str(scale), str(inputs),
+                            str(gold)], BENCH)[0])
     run([sys.executable, "-c", "import wikilink.cli"], env)  # warm the caches, uncounted
     argv = [sys.executable, "-c", CHILD, str(stamps), "pipeline",
             "--nodes", str(inputs / "nodes.tsv"), "--train-pairs", str(inputs / "train.csv"),
@@ -122,6 +146,7 @@ def probe(name: str, scale: float, runs: int, env: dict, tmp: Path) -> dict:
         # one gap per stored weight, and the dense block follows the hashed slots
         "filled_slot_share": round(
             len(model["gaps"]) / ((1 << model["config"]["hash_bits"]) + 4), 6),
+        "macro_f1": macro_f1(out / "predictions.csv", json.loads(gold.read_text())),
         "sha256": digests[0],
     }
 

@@ -81,21 +81,20 @@ def parse_nodes(stream: IO, counters: ParseCounters | None = None) -> Iterator[N
     """
     seen: set[int] = set()
     for line_no, line in _lines(stream, 1):
-        fields = line.split("\t")
-        if len(fields) > 2:
-            raise ParseError(
-                f"expected 2 tab-separated fields, got {len(fields)}", line_no
-            )
-        node_id = _parse_node_id(fields[0], line_no)
+        tab = line.find("\t")
+        if tab >= 0 and line.find("\t", tab + 1) >= 0:
+            fields = line.count("\t") + 1
+            raise ParseError(f"expected 2 tab-separated fields, got {fields}", line_no)
+        node_id = _parse_node_id(line if tab < 0 else line[:tab], line_no)
         if node_id in seen:
             raise ValidationError(f"duplicate node id {node_id} at line {line_no}")
         seen.add(node_id)
-        if len(fields) == 1:
+        if tab < 0:
             if counters is not None:
                 counters.missing_text += 1
             yield NodeRecord(node_id, "")
         else:
-            yield NodeRecord(node_id, fields[1])
+            yield NodeRecord(node_id, line[tab + 1:])
 
 
 def write_nodes(records: Iterable[tuple[int, str]], stream: IO) -> None:

@@ -7,11 +7,12 @@ Four deletion-only stages, applied in a fixed order:
     depunct  - delete punctuation characters
     despace  - collapse whitespace runs to single spaces, strip ends
 
-Each stage is a pure `str -> str` function; every count is in code points.
-Debrace, depunct and despace cut UTF-8 bytes (`surrogatepass`): a byte below
-0x80 only ever encodes its ASCII character (RFC 3629), so no cut splits a
-character. `bytes.split()` splits on exactly the six `WHITESPACE_CHARS` (not
-`\x85`, `\xa0`, ...). The end strips are `str.strip()`: "a \xa0" -> "a", "a\xa0b" kept.
+`clean` encodes the text to UTF-8 (`surrogatepass`) once, runs each enabled
+stage as a `bytes -> bytes` function, and decodes once; every count in its
+report is in code points. A byte below 0x80 only ever encodes its ASCII
+character (RFC 3629), so no cut at such a byte splits a character. Only the
+six `WHITESPACE_CHARS` collapse (not `\x85`, `\xa0`, ...), but the end strips
+are `str.strip()`: "a \xa0" -> "a", "a\xa0b" kept.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ WHITESPACE_CHARS = " \t\r\n\f\v"
 DEFAULT_PUNCTUATION = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`|~")
 _PUNCTUATION_BYTES = "".join(sorted(DEFAULT_PUNCTUATION)).encode("ascii")
 _UTF8 = ("utf-8", "surrogatepass")  # a lone surrogate round-trips
+_TO_SPACE = bytes.maketrans(WHITESPACE_CHARS[1:].encode(), b" " * 5)  # all but the space
+# End bytes `bytes.strip()` keeps that may be (part of) `str.strip()` whitespace.
+_MAYBE_SPACE = frozenset(range(0x1C, 0x20)) | frozenset(range(0x80, 0x100))
 
 
 class CleanConfig(NamedTuple):
@@ -51,21 +55,30 @@ class CleanReport(NamedTuple):
     chars_removed_debrace: int
 
 
-def balance_curly_braces(text: str) -> str:
-    """Delete surplus braces, then strip outer whitespace.
+def _strip(data: bytes) -> bytes:
+    """`str.strip()` on UTF-8 bytes; decodes only when an end byte needs it."""
+    data = data.strip()
+    if data and (data[0] in _MAYBE_SPACE or data[-1] in _MAYBE_SPACE):
+        return data.decode(*_UTF8).strip().encode(*_UTF8)
+    return data
+
+
+def balance_curly_braces(data: bytes) -> tuple[bytes, int]:
+    """Delete surplus braces, then strip outer whitespace; return the
+    result and the number of braces deleted.
 
     Surplus `{` are removed leftmost-first, surplus `}` rightmost-first;
     the strip applies even when the input was already balanced.
     """
-    surplus = text.count("{") - text.count("}")
+    surplus = data.count(b"{") - data.count(b"}")
     if surplus > 0:
-        text = text.replace("{", "", surplus)
+        data = data.replace(b"{", b"", surplus)
     elif surplus < 0:
-        text = text[::-1].replace("}", "", -surplus)[::-1]
-    return text.strip()
+        data = data[::-1].replace(b"}", b"", -surplus)[::-1]
+    return _strip(data), abs(surplus)
 
 
-def remove_brace_spans(text: str) -> str:
+def remove_brace_spans(data: bytes) -> bytes:
     """Drop every character inside (or part of) a brace span.
 
     `{` pushes; `}` pops when the stack top is `{`, otherwise it is
@@ -75,37 +88,46 @@ def remove_brace_spans(text: str) -> str:
     S - running min of S, with S = cumsum(s) from S_0 = 0 (Lindley, 1952).
     Kept are the bytes before the first brace and after each brace with D = 0.
     """
-    data = text.encode(*_UTF8)
     codes = np.frombuffer(data, np.uint8)
     at = np.flatnonzero((codes == 123) | (codes == 125))  # `{`, `}`: s = 124 - code
     total = np.cumsum(np.append(0, 124 - codes[at].astype(np.int64)))
     runs = np.flatnonzero(total == np.minimum.accumulate(total))
     starts = (np.append(-1, at)[runs] + 1).tolist()
     stops = np.append(at, len(data))[runs].tolist()
-    return b"".join([data[i:j] for i, j in zip(starts, stops)]).decode(*_UTF8)
+    return b"".join([data[i:j] for i, j in zip(starts, stops)])
 
 
-def strip_punctuation(text: str) -> str:
-    return text.encode(*_UTF8).translate(None, _PUNCTUATION_BYTES).decode(*_UTF8)
+def strip_punctuation(data: bytes) -> bytes:
+    return data.translate(None, _PUNCTUATION_BYTES)
 
 
-def normalize_whitespace(text: str) -> str:
-    return b" ".join(text.encode(*_UTF8).split()).decode(*_UTF8).strip()
+def normalize_whitespace(data: bytes) -> bytes:
+    """Each whitespace run becomes one space (the run's first byte, mapped
+    to a space), then the ends are stripped."""
+    data = data.translate(_TO_SPACE)
+    if b"  " in data:
+        codes = np.frombuffer(data, np.uint8)
+        keep = codes != 32
+        keep[1:] |= keep[:-1]  # a space is kept only after a non-space
+        data = codes[keep].tobytes()
+    return _strip(data)
 
 
 def clean(text: str, config: CleanConfig = CleanConfig()) -> tuple[str, CleanReport]:
-    """Run the enabled stages in order; report what each deleted."""
-    input_length = len(text)
+    """Run the enabled stages in order on the text's UTF-8 bytes; report
+    what each deleted."""
+    data = text.encode(*_UTF8)
     braces = debraced = 0
     if config.balance:
-        braces = abs(text.count("{") - text.count("}"))
-        text = balance_curly_braces(text)
+        data, braces = balance_curly_braces(data)
     if config.debrace:
-        before_len = len(text)
-        text = remove_brace_spans(text)
-        debraced = before_len - len(text)
+        before = data
+        data = remove_brace_spans(data)
+        debraced = (len(before) - len(data) if text.isascii()
+                    else len(before.decode(*_UTF8)) - len(data.decode(*_UTF8)))
     if config.depunct:
-        text = strip_punctuation(text)
+        data = strip_punctuation(data)
     if config.despace:
-        text = normalize_whitespace(text)
-    return text, CleanReport(input_length, len(text), braces, debraced)
+        data = normalize_whitespace(data)
+    text_out = data.decode(*_UTF8)
+    return text_out, CleanReport(len(text), len(text_out), braces, debraced)

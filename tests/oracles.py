@@ -13,7 +13,9 @@ punctuation filter and the whitespace collapse (a regex over maximal
 runs) work on code points where the library cuts UTF-8 bytes; the
 tokenizer splits the whole text with a regex where the library splits
 its UTF-8 bytes and stops after the token budget. The pairs-CSV writer
-lives here because only the tests write pairs files. The oracles take a
+lives here because only the tests write pairs files. `run_stage` runs a
+byte stage of `textclean` on a `str`, so the cleaning oracles can judge
+it on the same `str` inputs. The oracles take a
 pair as `str` token tuples (`TuplePair`); `table_pairs` turns such pairs
 into the library's, over one token table of UTF-8 byte tokens.
 """
@@ -167,6 +169,17 @@ def reference_adamw_arrays(weights, m, v, gradient, t, config, bias_index):
         decay[bias_index] = 0.0
         update = update + decay
     return weights - update, m, v
+
+
+def run_stage(stage, text: str) -> str:
+    """A `textclean` stage run on `text`'s UTF-8 bytes (`surrogatepass`), its
+    result decoded. Balance also returns the braces it deleted, which must be
+    the difference of the two brace counts."""
+    out = stage(text.encode("utf-8", "surrogatepass"))
+    if isinstance(out, tuple):
+        out, deleted = out
+        assert deleted == abs(text.count("{") - text.count("}")), (text, deleted)
+    return out.decode("utf-8", "surrogatepass")
 
 
 def reference_strip_punctuation(text: str) -> str:

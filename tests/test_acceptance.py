@@ -25,6 +25,7 @@ from oracles import (
     reference_balance,
     reference_remove_spans,
     rows_from_dicts,
+    run_stage,
     scalar_adamw_trace,
     write_pairs,
 )
@@ -46,10 +47,10 @@ def test_pseudocode_fidelity():
               "x{a{b}c}y", "}{ab", ""]
     corpus = worked + _random_corpus(10_000, 40, seed=1)
     for text in corpus:
-        assert textclean.balance_curly_braces(text) == reference_balance(text)
+        assert run_stage(textclean.balance_curly_braces, text) == reference_balance(text)
         # the published accumulator starts as a single space; the library
         # deliberately starts empty, so strip that one-space prefix
-        assert " " + textclean.remove_brace_spans(text) == reference_remove_spans(text)
+        assert " " + run_stage(textclean.remove_brace_spans, text) == reference_remove_spans(text)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"\nPASS pseudocode fidelity ({len(corpus)} strings, {elapsed:.2f}s)")
@@ -59,7 +60,7 @@ def test_cleaning_invariants():
     corpus = _random_corpus(10_000, 40, seed=2)
     violations = 0
     for text in corpus:
-        balanced = textclean.balance_curly_braces(text)
+        balanced = run_stage(textclean.balance_curly_braces, text)
         if balanced.count("{") != balanced.count("}"):
             violations += 1
         out, _ = textclean.clean(text)

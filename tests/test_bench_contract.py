@@ -59,8 +59,8 @@ def test_pipeline_passes_the_benchmark_checker(bench, tmp_path):
     assert failures == []
 
 
-def test_traced_pipeline_reports_every_metric(bench, tmp_path):
-    corpus, _ = bench
+def _traced_run(corpus, tmp_path) -> dict:
+    """The JSON that `bench/tracer.py` writes for one pipeline run."""
     # The scale and seed of bench/selfcheck.py.
     wl, data = corpus.WORKLOADS["train-heavy"], corpus.generate("train-heavy", 7, 0.5)
     inputs = corpus.write_inputs(data, tmp_path / "inputs")
@@ -73,5 +73,17 @@ def test_traced_pipeline_reports_every_metric(bench, tmp_path):
          "--output-dir", str(tmp_path / "out")],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(result.read_text())
+    return json.loads(result.read_text())
+
+
+def test_traced_pipeline_reports_every_metric(bench, tmp_path):
+    payload = _traced_run(bench[0], tmp_path)
     assert payload["exit_code"] == 0 and payload["absent"] == []
+
+
+def test_traced_pipeline_times_every_clean_stage(bench, tmp_path):
+    # `clean` calls each stage through its module name, so the tracer's
+    # wrapper sees it; a stage inlined into `clean` would read 0 here.
+    metrics = _traced_run(bench[0], tmp_path)["metrics"]
+    for stage in ("balance", "debrace", "depunct", "despace"):
+        assert metrics[f"textclean.{stage}_s"] > 0, stage

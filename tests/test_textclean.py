@@ -23,6 +23,7 @@ from oracles import (
     reference_normalize_whitespace,
     reference_remove_spans,
     reference_strip_punctuation,
+    run_stage,
 )
 
 brace_text = st.text(alphabet="{}a ", max_size=20)
@@ -40,6 +41,24 @@ wide_text = st.text(
     max_size=200,
 )
 
+# Texts of 2 KB or more: a run of pieces repeated, between two ends that
+# each hold a character `bytes.strip()` keeps but `str.strip()` takes. The
+# pieces: words, whitespace runs that mix all six WHITESPACE_CHARS, brace
+# spans nested 4 to 9 deep, and lone braces.
+END_SPACES = ["\x85", "\xa0", "\u2003", "\x1c", "\x1d", "\x1e", "\x1f"]
+text_end = st.tuples(st.text(WHITESPACE_CHARS, max_size=2), st.sampled_from(END_SPACES),
+                     st.text(WHITESPACE_CHARS, max_size=2)).map("".join)
+piece = st.one_of(
+    st.sampled_from(["word", "Beta,", "ß日", "😀", "a\xa0b", "\x1c", "\ud800"]),
+    st.tuples(st.permutations(WHITESPACE_CHARS), st.text(WHITESPACE_CHARS, max_size=4)).map(
+        lambda parts: "".join(parts[0]) + parts[1]),
+    st.tuples(st.integers(4, 9), st.sampled_from(["x", " y. ", "{z}"])).map(
+        lambda parts: "{" * parts[0] + parts[1] + "}" * parts[0]),
+    st.sampled_from("{}"),
+)
+long_text = st.builds(lambda head, body, tail: head + body * (2048 // len(body) + 1) + tail,
+                      text_end, st.lists(piece, min_size=1, max_size=30).map("".join), text_end)
+
 
 class TestBalance:
     @pytest.mark.parametrize(
@@ -53,15 +72,15 @@ class TestBalance:
         ],
     )
     def test_examples(self, text, expected):
-        assert balance_curly_braces(text) == expected
+        assert run_stage(balance_curly_braces, text) == expected
 
-    @given(brace_text | wide_text)
+    @given(brace_text | wide_text | long_text)
     def test_matches_reference(self, text):
-        assert balance_curly_braces(text) == reference_balance(text)
+        assert run_stage(balance_curly_braces, text) == reference_balance(text)
 
     @given(brace_text)
     def test_counts_balanced(self, text):
-        out = balance_curly_braces(text)
+        out = run_stage(balance_curly_braces, text)
         assert out.count("{") == out.count("}")
 
 
@@ -77,12 +96,12 @@ class TestRemoveSpans:
         ],
     )
     def test_examples(self, text, expected):
-        assert remove_brace_spans(text) == expected
+        assert run_stage(remove_brace_spans, text) == expected
 
-    @given(brace_text | wide_text)
+    @given(brace_text | wide_text | long_text)
     def test_matches_reference(self, text):
         # The published accumulator starts as ' '; the library starts empty.
-        assert " " + remove_brace_spans(text) == reference_remove_spans(text)
+        assert " " + run_stage(remove_brace_spans, text) == reference_remove_spans(text)
 
     def test_deep_nesting_is_linear(self):
         # Ten times the depth may cost about ten times the time; a scan
@@ -92,7 +111,7 @@ class TestRemoveSpans:
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                assert remove_brace_spans(text) == "y"
+                assert run_stage(remove_brace_spans, text) == "y"
                 times.append(time.perf_counter() - start)
             return min(times)
 
@@ -100,7 +119,7 @@ class TestRemoveSpans:
 
     @given(brace_text)
     def test_subsequence_of_nonbrace_chars(self, text):
-        out = iter(remove_brace_spans(text))
+        out = iter(run_stage(remove_brace_spans, text))
         ch = next(out, None)
         for original in text:
             if original in "{}":
@@ -111,7 +130,7 @@ class TestRemoveSpans:
 
     @given(brace_text)
     def test_no_braces_survive(self, text):
-        out = remove_brace_spans(text)
+        out = run_stage(remove_brace_spans, text)
         assert "{" not in out and "}" not in out
 
 
@@ -125,11 +144,11 @@ class TestPunctAndSpace:
         ],
     )
     def test_strip_punctuation(self, text, expected):
-        assert strip_punctuation(text) == expected
+        assert run_stage(strip_punctuation, text) == expected
 
-    @given(messy_text | st.text())
+    @given(messy_text | st.text() | long_text)
     def test_strip_punctuation_matches_reference(self, text):
-        assert strip_punctuation(text) == reference_strip_punctuation(text)
+        assert run_stage(strip_punctuation, text) == reference_strip_punctuation(text)
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -141,11 +160,11 @@ class TestPunctAndSpace:
         ],
     )
     def test_normalize_whitespace(self, text, expected):
-        assert normalize_whitespace(text) == expected
+        assert run_stage(normalize_whitespace, text) == expected
 
-    @given(wide_text | messy_text)
+    @given(wide_text | messy_text | long_text)
     def test_normalize_whitespace_matches_reference(self, text):
-        assert normalize_whitespace(text) == reference_normalize_whitespace(text)
+        assert run_stage(normalize_whitespace, text) == reference_normalize_whitespace(text)
 
     # Only WHITESPACE_CHARS collapse, but the end strip is str.strip(),
     # which also takes Unicode whitespace; balance strips the same way.
@@ -160,8 +179,8 @@ class TestPunctAndSpace:
         ],
     )
     def test_strip_takes_unicode_whitespace_at_the_ends(self, text, despaced, balanced):
-        assert normalize_whitespace(text) == despaced
-        assert balance_curly_braces(text) == balanced
+        assert run_stage(normalize_whitespace, text) == despaced
+        assert run_stage(balance_curly_braces, text) == balanced
 
 
 class TestCleanConfig:
@@ -170,13 +189,13 @@ class TestCleanConfig:
         with pytest.raises(TypeError):
             CleanConfig(punctuation_set=frozenset("{.,"))
         assert not DEFAULT_PUNCTUATION & set("{}")
-        assert strip_punctuation("{a}.}") == "{a}}"
+        assert run_stage(strip_punctuation, "{a}.}") == "{a}}"
 
     def test_rejects_whitespace_in_punctuation(self):
         with pytest.raises(TypeError):
             CleanConfig(punctuation_set=frozenset(". "))
         assert not DEFAULT_PUNCTUATION & set(WHITESPACE_CHARS)
-        assert strip_punctuation(WHITESPACE_CHARS + ".") == WHITESPACE_CHARS
+        assert run_stage(strip_punctuation, WHITESPACE_CHARS + ".") == WHITESPACE_CHARS
 
 
 class TestClean:
@@ -225,7 +244,7 @@ class TestClean:
         assert "  " not in out and "\t" not in out
         assert out == out.strip()
 
-    @given(wide_text | messy_text, st.sets(st.sampled_from(STAGES)))
+    @given(wide_text | messy_text | long_text, st.sets(st.sampled_from(STAGES)))
     def test_every_stage_mask_matches_oracles(self, text, stages):
         mask = tuple(s for s in STAGES if s in stages)
         expected, braces, debraced = text, 0, 0
@@ -274,7 +293,7 @@ def test_every_short_string_matches_oracles():
         for chars in itertools.product(BOUNDARY_ALPHABET, repeat=n):
             text = "".join(chars)
             for stage, fn in stages.items():
-                assert fn(text) == oracles[stage](text), (stage, text)
+                assert run_stage(fn, text) == oracles[stage](text), (stage, text)
             for mask in masks:
                 expected = text
                 for stage in mask:
