@@ -7,8 +7,8 @@ bias. Hashing is 64-bit FNV-1a over UTF-8 bytes, masked to hash_bits, so
 feature indices are stable across runs and platforms.
 
 Pairs are featurized into CSR rows (`FeatureRows`) from one node table
-per run (`NodeTable`), which hashes each node of the run's token table
-once; a pair costs only the gather of its two nodes' slot streams, its
+per run (`NodeTable`), which hashes each node once, on the sides its
+pairs read; a pair costs only the gather of its two nodes' slot streams, its
 shared tokens and the row dedup. A row lists its slots in first-seen
 order over premise unigrams, premise bigrams, hypothesis unigrams,
 hypothesis bigrams and the sorted shared tokens, each slot once with its
@@ -193,37 +193,32 @@ class FeatureRows:
                            np.concatenate([p.values for p in parts]))
 
 
-def _fnv_fold(states: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-              buf: np.ndarray) -> np.ndarray:
-    """Continue FNV-1a from `states[..., i]` over `buf[starts[i]:starts[i] + lengths[i]]`.
-
-    Items are sorted longest first, so the items that still have a byte
-    at column j are a prefix; each column is one wrapping uint64 step.
-    """
-    order = np.argsort(-lengths)
-    starts, lengths = starts[order], lengths[order]
-    h = states[..., order]
-    # active[j]: how many items are longer than j bytes
-    active = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)), side="left")
-    for j, k in enumerate(active.tolist()):
-        h[..., :k] ^= buf[starts[:k] + j]
-        h[..., :k] *= _FNV_PRIME_U64
-    out = np.empty_like(h)
-    out[..., order] = h
-    return out
+def _fnv_fold(states: np.ndarray, ids: np.ndarray, vocab: tuple) -> np.ndarray:
+    """Continue FNV-1a, in place, from `states[i]` over the bytes of token `ids[i]`
+    (`vocab` holds the tokens' bytes, starts and lengths first). The ids come longest
+    first, so the tokens with a byte at column j are a prefix: one uint64 step each."""
+    buf, starts, lens = vocab[:3]
+    for lo in range(0, ids.shape[0], _FOLD_BLOCK):
+        h, block = states[lo : lo + _FOLD_BLOCK], ids[lo : lo + _FOLD_BLOCK]
+        at, n = starts[block], lens[block]
+        # active[j]: how many tokens are longer than j bytes
+        for j, k in enumerate(np.searchsorted(-n, -np.arange(n[0]), side="left").tolist()):
+            h[:k] ^= buf[at[:k] + j]
+            h[:k] *= _FNV_PRIME_U64
+    return states
 
 
 class NodeTable:
-    """Every row (node) of a token table, hashed once.
+    """The rows (nodes) of a token table that some pairs read, each hashed once.
 
-    Per row the table keeps its masked P and H streams, laid out alike as
-    its unigram slots then its bigram slots, and its distinct token ids
-    (the table's vocabulary indexes, used as they are), ascending, with
-    their counts, all int32 (hash_bits <= 30). `rows` lays out the feature
-    rows of pairs from these alone.
+    A premise row keeps its masked P stream and a hypothesis row its H
+    stream, laid out alike as its unigram slots then its bigram slots; no
+    stream that no pair reads is hashed. Every row keeps its distinct token
+    ids (the table's vocabulary indexes), ascending, with their counts, all
+    int32 (hash_bits <= 30). `rows` lays out the pairs' feature rows from these.
     """
 
-    def __init__(self, tokens: Tokens, hash_bits: int):
+    def __init__(self, tokens: Tokens, hash_bits: int, pairs: Sequence[SentencePair]):
         self.hash_bits = hash_bits
         self.words = list(tokens.vocab)  # token id -> token
         self.radix = max(len(self.words), 1)
@@ -233,21 +228,37 @@ class NodeTable:
         # A position heads a bigram unless it is the last of its row.
         is_head = np.ones(ids.shape[0], dtype=bool)
         is_head[(starts + self.lens - 1)[self.lens > 0]] = False
-        bigrams, which = np.unique(
-            (ids[:-1].astype(np.int64) * self.radix + ids[1:])[is_head[:-1]],
-            return_inverse=True)
-        unigram, bigram = _hash_keys(self.words, bigrams, self.radix, hash_bits)
-        del bigrams
-        self.shared_slots = unigram[2]
+        byte_lens = np.fromiter(map(len, self.words), dtype=np.int64, count=len(self.words))
+        vocab = (np.frombuffer(b"".join(self.words), np.uint8), np.cumsum(byte_lens) - byte_lens,
+                 byte_lens, np.argsort(-byte_lens))  # the last: token ids, longest first
+        # A bigram is (its second token's place in that order) << id_bits | its first
+        # token's id, so the sorted bigrams come longest first, as the fold takes them.
+        id_bits = (self.radix - 1).bit_length()  # <= 31: a vocabulary holds < 2^31 tokens
+        bigrams, which = np.unique((np.argsort(vocab[3])[ids[1:]] << id_bits | ids[:-1])[
+            is_head[:-1]], return_inverse=True)
+        which = which.astype(np.int32)  # each head's bigram
+        self.sides = np.zeros((2, self.lens.shape[0]), dtype=bool)  # premise, hypothesis rows
+        self.sides[0, [sp.premise for sp in pairs]] = True
+        self.sides[1, [sp.hypothesis for sp in pairs]] = True
+        on = [np.repeat(side, self.lens) for side in self.sides]  # each side's positions
+        present = np.zeros((2, self.radix), dtype=bool)  # each side's tokens
+        present[0, ids[on[0]]] = present[1, ids[on[1]]] = True
+        slots = [_hash_keys(vocab, namespace, present[s], bigrams, which[on[s][is_head]], id_bits,
+                            hash_bits) for s, namespace in enumerate(_NAMESPACES[:2])]
+        self.shared_slots = _hash_keys(vocab, "S", present[0] & present[1], bigrams, which[:0],
+                                       id_bits, hash_bits)[0]
+        del vocab, bigrams, present
 
-        self.stream_lens = 2 * self.lens - (self.lens > 0)
-        self.stream_starts = np.cumsum(self.stream_lens) - self.stream_lens
-        self.streams = np.empty((2, int(self.stream_lens.sum())), dtype=np.int32)
-        at = np.repeat(self.stream_starts - starts, self.lens) + np.arange(ids.shape[0])
-        self.streams[:, at] = unigram[:2, ids]
-        at += np.repeat(self.lens, self.lens)  # the bigram each position heads
-        self.streams[:, at[is_head]] = bigram[:, which]
-        del at, is_head, which, unigram, bigram
+        self.stream_lens = np.where(self.sides, 2 * self.lens - (self.lens > 0), 0)
+        self.stream_starts = np.cumsum(self.stream_lens, axis=1) - self.stream_lens
+        self.streams = [np.empty(int(n), dtype=np.int32) for n in self.stream_lens.sum(axis=1)]
+        for s, (unigram, bigram) in enumerate(slots):
+            at = np.repeat(self.stream_starts[s] - starts, self.lens) + np.arange(ids.shape[0])
+            self.streams[s][at[on[s]]] = unigram[ids[on[s]]]
+            at += np.repeat(self.lens, self.lens)  # the bigram each position heads
+            self.streams[s][at[on[s] & is_head]] = bigram[which[on[s][is_head]]]
+            del at
+        del on, is_head, which, slots
 
         keys, counts = np.unique(np.repeat(np.arange(self.lens.shape[0]), self.lens) * self.radix
                                  + ids, return_counts=True)
@@ -260,6 +271,8 @@ class NodeTable:
         """The feature rows of the pairs on these premise and hypothesis
         rows: the premise's P stream, the hypothesis's H stream, the sorted
         shared tokens, deduplicated."""
+        if not (self.sides[0, premise].all() and self.sides[1, hypothesis].all()):
+            raise ValidationError("a pair reads a node on a side the node table was not built for")
         n = premise.shape[0]
         p_rows, p_pick = self._set_entries(premise)
         h_rows, h_pick = self._set_entries(hypothesis)
@@ -290,16 +303,16 @@ class NodeTable:
         np.divide(np.abs(lp - lh), longer, out=dense[:, 2], where=longer > 0)
         dense[:, 3] = 1.0
 
-        p_lens, h_lens = self.stream_lens[premise], self.stream_lens[hypothesis]
+        p_lens, h_lens = self.stream_lens[0, premise], self.stream_lens[1, hypothesis]
         row_lens = p_lens + h_lens + n_shared
         row_starts = np.cumsum(row_lens) - row_lens
         stream = np.empty(int(row_lens.sum()), dtype=np.int32)
-        stream[_ranges(row_starts, p_lens)] = self.streams[
-            0, _ranges(self.stream_starts[premise], p_lens)]
-        stream[_ranges(row_starts + p_lens, h_lens)] = self.streams[
-            1, _ranges(self.stream_starts[hypothesis], h_lens)]
+        stream[_ranges(row_starts, p_lens)] = self.streams[0][
+            _ranges(self.stream_starts[0, premise], p_lens)]
+        stream[_ranges(row_starts + p_lens, h_lens)] = self.streams[1][
+            _ranges(self.stream_starts[1, hypothesis], h_lens)]
         stream[_ranges(row_starts + p_lens + h_lens, n_shared)] = shared_slots
-        return _dedup_rows(stream, np.repeat(np.arange(n), row_lens), dense, self.hash_bits)
+        return _dedup_rows(stream, row_lens, dense, self.hash_bits)
 
     def _set_entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For the token sets of `nodes`, concatenated: each entry's row
@@ -308,32 +321,26 @@ class NodeTable:
                 _ranges(self.set_starts[nodes], self.set_lens[nodes]))
 
 
-def _hash_keys(tokens: list[bytes], bigrams: np.ndarray, radix: int,
-               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masked int32 slots of each token (its UTF-8 bytes, hashed as they
-    are) under the P, H and S namespaces, [3, len(tokens)], and of each
-    bigram (first id * radix + second id) under P and H, [2, len(bigrams)]."""
-    byte_lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    byte_starts = np.cumsum(byte_lens) - byte_lens
-    buf = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+def _hash_keys(vocab: tuple, namespace: str, present: np.ndarray, bigrams: np.ndarray,
+               heads: np.ndarray, id_bits: int, hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masked int32 slots under the namespace of the tokens `present` marks, by token
+    id (else 0), and of the bigrams `heads` index, by bigram index (else unset).
+    `vocab` and `bigrams` are NodeTable's, so sorted bigrams come longest first."""
+    by_len, keys = vocab[3], np.flatnonzero(np.bincount(heads, minlength=bigrams.shape[0]))
+    ids = by_len[present[by_len]]
     # FNV is a left fold, so "P\x1ftok" continues from the state after "P\x1f".
-    prefixes = np.array([fnv1a_64(f"{ns}\x1f".encode()) for ns in _NAMESPACES], dtype=np.uint64)
-    unigram = np.empty((len(_NAMESPACES), len(tokens)), dtype=np.uint64)  # unmasked
-    for lo in range(0, len(tokens), _FOLD_BLOCK):
-        block = slice(lo, lo + _FOLD_BLOCK)
-        unigram[:, block] = _fnv_fold(
-            np.repeat(prefixes[:, None], byte_lens[block].shape[0], axis=1),
-            byte_starts[block], byte_lens[block], buf)
+    prefix = fnv1a_64(f"{namespace}\x1f".encode())
+    states = np.zeros(present.shape[0], dtype=np.uint64)
+    states[ids] = _fnv_fold(np.full(ids.shape[0], prefix, dtype=np.uint64), ids, vocab)
     mask = np.uint64((1 << hash_bits) - 1)
-    bigram = np.empty((2, bigrams.shape[0]), dtype=np.int32)
-    # A bigram key continues from its first token's unmasked state, over
-    # the separator byte and then the second token's bytes.
-    for lo in range(0, bigrams.shape[0], _FOLD_BLOCK):
-        first, second = np.divmod(bigrams[lo : lo + _FOLD_BLOCK], radix)
-        states = (unigram[:2, first] ^ np.uint64(_BIGRAM_SEP)) * _FNV_PRIME_U64
-        bigram[:, lo : lo + _FOLD_BLOCK] = (
-            _fnv_fold(states, byte_starts[second], byte_lens[second], buf) & mask)
-    return (unigram & mask).astype(np.int32), bigram
+    slots = np.empty(bigrams.shape[0], dtype=np.int32)
+    for key in np.split(keys, range(_FOLD_BLOCK, keys.shape[0], _FOLD_BLOCK)):
+        code = bigrams[key]
+        # A bigram key continues from its first token's unmasked state, over
+        # the separator byte and then the second token's bytes.
+        first = (states[code & ((1 << id_bits) - 1)] ^ np.uint64(_BIGRAM_SEP)) * _FNV_PRIME_U64
+        slots[key] = _fnv_fold(first, by_len[code >> id_bits], vocab) & mask
+    return (states & mask).astype(np.int32), slots
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -343,27 +350,37 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
 
-def _dedup_rows(stream: np.ndarray, stream_rows: np.ndarray, dense: np.ndarray,
+def _dedup_key_bits(n_rows: int, hash_bits: int, n_positions: int) -> int:
+    """The position bits of _dedup_rows' (row, slot, position) sort key, which must fit 63."""
+    position_bits = max(n_positions - 1, 0).bit_length()
+    if max(n_rows - 1, 0).bit_length() + hash_bits + position_bits > 63:
+        raise ValidationError(f"{n_rows} rows of {n_positions} slots overflow the 63-bit row key")
+    return position_bits
+
+
+def _dedup_rows(stream: np.ndarray, row_lens: np.ndarray, dense: np.ndarray,
                 hash_bits: int) -> FeatureRows:
     """Count repeated slots within each row in first-seen order, then append the dense block."""
-    n = dense.shape[0]
-    keys = (stream_rows << hash_bits) | stream
-    # Sorting groups each (row, slot); a group's least position is where
-    # it is first seen, and those positions, ascending, are the row order.
-    order = np.argsort(keys)
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    count_at = np.zeros(keys.shape[0], dtype=np.int64)
-    count_at[np.minimum.reduceat(order, starts)] = np.diff(starts, append=keys.shape[0])
+    n, m = dense.shape[0], stream.shape[0]
+    position_bits = _dedup_key_bits(n, hash_bits, m)
+    # One in-place sort of (row, slot, position) keys puts each (row, slot) group's
+    # least position, where it is first seen, at its head; those, ascending, are the row order.
+    key = (np.repeat(np.arange(n, dtype=np.int64) << hash_bits, row_lens) | stream
+           ) << position_bits | np.arange(m)
+    key.sort()
+    heads = np.flatnonzero(np.diff(key >> position_bits, prepend=-1))
+    head_keys = key[heads]
+    count_at = np.zeros(m, dtype=np.int64)
+    count_at[head_keys & ((1 << position_bits) - 1)] = np.diff(heads, append=m)
     first = np.flatnonzero(count_at)
-    keys, counts = keys[first], count_at[first]
-    rows = keys >> hash_bits
+    per_row = np.diff(np.searchsorted(head_keys, np.arange(n + 1) << hash_bits + position_bits))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n) + DENSE_BLOCK_SIZE, out=indptr[1:])
+    np.cumsum(per_row + DENSE_BLOCK_SIZE, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int64)
     values = np.empty(indptr[-1])
-    hashed_at = np.arange(keys.shape[0]) + DENSE_BLOCK_SIZE * rows
-    indices[hashed_at] = keys & ((1 << hash_bits) - 1)
-    values[hashed_at] = counts
+    hashed_at = _ranges(indptr[:-1], per_row)
+    indices[hashed_at] = stream[first]
+    values[hashed_at] = count_at[first]
     dense_at = indptr[1:, None] - DENSE_BLOCK_SIZE + np.arange(DENSE_BLOCK_SIZE)
     indices[dense_at] = (1 << hash_bits) + np.arange(DENSE_BLOCK_SIZE)
     values[dense_at] = dense

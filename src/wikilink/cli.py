@@ -232,7 +232,7 @@ def cmd_train(args: argparse.Namespace, given: dict) -> int:
     config = baseline.TrainConfig(**given["train"])
     tokens = pairs_mod.Tokens(config.max_tokens)
     examples = _sentence_pairs(given, args.pairs, args.nodes, tokens)
-    _train(config, examples, baseline.NodeTable(tokens, config.hash_bits),
+    _train(config, examples, baseline.NodeTable(tokens, config.hash_bits, examples),
            _model_path(given["paths"]))
     return 0
 
@@ -245,11 +245,11 @@ def cmd_predict(args: argparse.Namespace, given: dict) -> int:
     for key, value in given["train"].items():
         trained = getattr(model.config, key)
         if value != trained:
-            raise ValidationError(
-                f"[train] {key} {value} differs from the model's {key} {trained}")
+            raise ValidationError(f"[train] {key} {value} differs from the model's {key} {trained}")
     tokens = pairs_mod.Tokens(model.config.max_tokens)
     examples = _sentence_pairs(given, args.pairs, args.nodes, tokens)
-    _predict(model, examples, baseline.NodeTable(tokens, model.config.hash_bits), args.output)
+    _predict(model, examples, baseline.NodeTable(tokens, model.config.hash_bits, examples),
+             args.output)
     return 0
 
 
@@ -302,7 +302,7 @@ def cmd_pipeline(args: argparse.Namespace, given: dict) -> int:
     examples = _sentence_pairs(given, paths["train_pairs"], nodes, tokens)
     tests = _sentence_pairs(given, paths["test_pairs"], nodes, tokens)
     del nodes  # both files are tokenized: the cleaned text is not read again
-    table = baseline.NodeTable(tokens, config.hash_bits)
+    table = baseline.NodeTable(tokens, config.hash_bits, examples + tests)
     model = _train(config, examples, table, _model_path(paths))
     with atomic_output(str(out / "prepared.tsv")) as dst:
         pairs_mod.write_prepared(examples, tokens, dst)

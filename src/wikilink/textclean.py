@@ -70,7 +70,8 @@ def balance_curly_braces(data: bytes) -> tuple[bytes, int]:
     Surplus `{` are removed leftmost-first, surplus `}` rightmost-first;
     the strip applies even when the input was already balanced.
     """
-    surplus = data.count(b"{") - data.count(b"}")
+    codes = np.frombuffer(data, np.uint8)
+    surplus = int(np.count_nonzero(codes == 123) - np.count_nonzero(codes == 125))  # `{`, `}`
     if surplus > 0:
         data = data.replace(b"{", b"", surplus)
     elif surplus < 0:
@@ -89,11 +90,13 @@ def remove_brace_spans(data: bytes) -> bytes:
     Kept are the bytes before the first brace and after each brace with D = 0.
     """
     codes = np.frombuffer(data, np.uint8)
-    at = np.flatnonzero((codes == 123) | (codes == 125))  # `{`, `}`: s = 124 - code
-    total = np.cumsum(np.append(0, 124 - codes[at].astype(np.int64)))
-    runs = np.flatnonzero(total == np.minimum.accumulate(total))
-    starts = (np.append(-1, at)[runs] + 1).tolist()
-    stops = np.append(at, len(data))[runs].tolist()
+    at = ((codes == 123) | (codes == 125)).nonzero()[0]  # `{`, `}`: s = 124 - code
+    if not at.shape[0]:
+        return data
+    total = np.concatenate(([0], np.cumsum(np.subtract(124, codes[at], dtype=np.int64))))
+    runs = (total == np.minimum.accumulate(total)).nonzero()[0]
+    bounds = np.concatenate(([-1], at, [len(data)]))  # the cuts: each brace, and both ends
+    starts, stops = (bounds[runs] + 1).tolist(), bounds[runs + 1].tolist()
     return b"".join([data[i:j] for i, j in zip(starts, stops)])
 
 

@@ -302,7 +302,7 @@ def dense_gradient(gradient: dict[int, float], dim: int) -> np.ndarray:
 def reference_train(examples: list[TuplePair], config) -> AdamWState:
     """Mini-batch AdamW over the whole 2^hash_bits + 4 weight vector; the final state."""
     tokens, pairs = table_pairs(examples)
-    rows = featurize(pairs, NodeTable(tokens, config.hash_bits))
+    rows = featurize(pairs, NodeTable(tokens, config.hash_bits, pairs))
     labels = [sp.label for sp in examples]
     state = AdamWState(config, (1 << config.hash_bits) + DENSE_BLOCK_SIZE)
     rng = random.Random(config.seed)

@@ -18,6 +18,7 @@ from wikilink.baseline import (
     TrainConfig,
     FEATURIZE_CHUNK,
     NodeTable,
+    _dedup_key_bits,
     adamw_step,
     featurize,
     fit,
@@ -59,7 +60,7 @@ def pair(premise, hypothesis, label=None, pair_id="p"):
 def over_table(items, hash_bits):
     """The tuple pairs as the library's pairs, and the node table of their token table."""
     tokens, pairs = table_pairs(items)
-    return pairs, NodeTable(tokens, hash_bits)
+    return pairs, NodeTable(tokens, hash_bits, pairs)
 
 
 def featurize_items(items, hash_bits):
@@ -240,7 +241,7 @@ class TestSharedTableMatchesScalarOracle:
             for records in (train_records, test_records))
         assert len(tokens.ids) == len({i for r in train_records + test_records
                                        for i in (r.id1, r.id2)})
-        table = NodeTable(tokens, hash_bits)
+        table = NodeTable(tokens, hash_bits, train_pairs + test_pairs)
 
         def as_tuples(records):
             return [TuplePair(r.pair_id, reference_tokenize(text_of[r.id1])[:max_tokens],
@@ -264,6 +265,55 @@ class TestSharedTableMatchesScalarOracle:
             predict(BaselineModel.zeros(TrainConfig(hash_bits=9)), pairs, table)
         with pytest.raises(ValidationError, match="hash_bits 8"):
             train(pairs, TrainConfig(hash_bits=9), table)
+
+
+class TestSideAwareTable:
+    """A table hashes a node's P stream only if it is some pair's premise,
+    its H stream only if it is some pair's hypothesis, and S only for
+    tokens on both sides."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(side, min_size=3, max_size=6),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_sided_both_sided_and_self_pairs_at_one_bit(self, pool, picks, seed):
+        """At hash_bits 1 every slot collides, so a stream laid out from the
+        wrong side or a missing shared slot shows in the counts. Node 0 is
+        only ever a premise, node 1 only a hypothesis, node 2 is paired with
+        itself, and the others fall on either side or both."""
+        nodes = [tuple(tokens) for tokens in pool]
+        rest = len(nodes) - 2  # premises come from 0, 2, 3, ...; hypotheses from 1, 2, 3, ...
+        items = [pair(nodes[0], nodes[1]), pair(nodes[2], nodes[2]),
+                 *(pair(nodes[0 if a % (rest + 1) == 0 else 1 + a % (rest + 1)],
+                        nodes[1 + b % (rest + 1)]) for a, b in picks)]
+        oracle = [reference_featurize(sp, 1) for sp in items]
+        rows = featurize_items(items, 1)
+        assert [row_items(rows, r) for r in range(len(rows))] == [list(f.items()) for f in oracle]
+        model = BaselineModel.zeros(TrainConfig(hash_bits=1))
+        model.weights[:] = np.random.default_rng(seed).normal(0.0, 2.0, model.weights.shape[0])
+        assert [p.probability for p in predict_items(model, items)] == [
+            sigmoid(reference_dot(model.weights, f)) for f in oracle]
+
+    def test_pair_on_a_side_not_built_rejected(self):
+        """rows() refuses a premise the table holds only as a hypothesis, and the reverse."""
+        pairs, table = over_table([pair(["a"], ["b"], label=1)], hash_bits=8)
+        swapped = [sp._replace(premise=sp.hypothesis, hypothesis=sp.premise) for sp in pairs]
+        with pytest.raises(ValidationError, match="side the node table was not built for"):
+            featurize(swapped, table)
+        with pytest.raises(ValidationError, match="side the node table was not built for"):
+            predict(BaselineModel.zeros(TrainConfig(hash_bits=8)), swapped, table)
+
+    def test_dedup_key_budget(self):
+        """The row layout's (row, slot, position) sort key must fit 63 bits:
+        a chunk of 64 rows at hash_bits 30 holds up to 2^27 slots. Checked
+        from the sizes alone, before any key array exists."""
+        assert _dedup_key_bits(64, 30, 1 << 27) == 27
+        with pytest.raises(ValidationError, match="63-bit"):
+            _dedup_key_bits(64, 30, (1 << 27) + 1)
+        assert _dedup_key_bits(1, 30, 1 << 33) == 33
+        assert _dedup_key_bits(0, 1, 0) == 0
 
 
 class TestAdamW:

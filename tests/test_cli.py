@@ -1014,6 +1014,21 @@ def test_start_up_loads_no_dataclasses_or_configparser():
     assert not {"dataclasses", "configparser"} & loaded
 
 
+def test_pipeline_loads_no_numpy_ma(fixture_dir, tmp_path):
+    """A whole `pipeline` run in a fresh process never imports `numpy.ma`. A
+    plain `np.unique(x)` would: its hash path calls `np.ma.is_masked`, and the
+    first such call costs a process about 16 ms."""
+    code = ("import json, sys, wikilink.cli\n"
+            "status = wikilink.cli.main(sys.argv[1:])\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+            "sys.exit(status)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *pipeline_argv(fixture_dir, tmp_path)],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "wikilink.baseline" in loaded and "numpy.ma" not in loaded
+
+
 class TestHeapFreeze:
     """Only the process entry, `main()` with no argv, freezes the import-time heap."""
 
