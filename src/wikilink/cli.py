@@ -142,8 +142,8 @@ def _clean_nodes(given: dict, in_path: str, out_path: str) -> dict[int, str]:
     counters = dataset.ParseCounters()
     table: dict[int, str] = {}
     with open_input(in_path) as src:
-        for rec in dataset.parse_nodes(src, counters):
-            table[rec.id], rep = textclean.clean(rec.text, config)
+        for key, text, rep in textclean.clean_records(dataset.parse_nodes(src, counters), config):
+            table[key] = text
             total[:] = map(operator.add, total, rep)
     with atomic_output(out_path) as dst:
         dataset.write_nodes(table.items(), dst)

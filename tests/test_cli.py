@@ -458,23 +458,23 @@ class TestPipeline:
     def test_cleaned_table_dropped_before_training(self, fixture_dir, tmp_path, monkeypatch):
         """`pipeline` holds no cleaned node text once both pairs files are tokenized."""
         refs, alive = [], []
-        clean, train = textclean.clean, baseline.train
+        clean_records, train = textclean.clean_records, baseline.train
 
         class Text(str):  # unlike a str, a subclass instance can be weakly referenced
             pass
 
-        def watched_clean(text, config):
-            text, report = clean(text, config)
-            text = Text(text)
-            refs.append(weakref.ref(text))
-            return text, report
+        def watched_clean_records(records, config):
+            for node_id, text, report in clean_records(records, config):
+                text = Text(text)
+                refs.append(weakref.ref(text))
+                yield node_id, text, report
 
         def checking_train(*args):
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
             return train(*args)
 
-        monkeypatch.setattr(textclean, "clean", watched_clean)
+        monkeypatch.setattr(textclean, "clean_records", watched_clean_records)
         monkeypatch.setattr(baseline, "train", checking_train)
         assert self.run_pipeline(fixture_dir, tmp_path / "out") == 0
         assert len(refs) == 400 and alive == [0]

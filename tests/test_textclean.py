@@ -6,6 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from wikilink import textclean
 from wikilink.textclean import (
     DEFAULT_PUNCTUATION,
     STAGES,
@@ -13,6 +14,7 @@ from wikilink.textclean import (
     CleanConfig,
     balance_curly_braces,
     clean,
+    clean_records,
     normalize_whitespace,
     remove_brace_spans,
     strip_punctuation,
@@ -310,3 +312,32 @@ def test_every_short_string_matches_oracles():
                 assert clean(text, config)[0] == expected, (mask, text)
             checked += 1
     assert checked == 1 + 20 + 20**2 + 20**3
+
+
+class TestBlocks:
+    """`clean_records` joins texts into blocks, separated by 0xFF; each text
+    must come out as `clean` gives it alone, wherever the blocks split."""
+
+    def test_brace_scan_resets_at_each_text(self):
+        # The `{` of the first text is unclosed; the `}` of the second has no `{`.
+        assert remove_brace_spans(b"a{b\xffc}d") == b"a\xffcd"
+        assert remove_brace_spans(b"{\xff\xff}") == b"\xff\xff"
+        # 0xFF resets any depth, not only one below 131 (its 124 - code).
+        assert remove_brace_spans(b"{" * 200 + b"\xffa") == b"\xffa"
+
+    def test_despace_strips_each_text(self):
+        assert normalize_whitespace(b" a  b \xff\t c\n\xff\xff  ") == b"a b\xffc\xff\xff"
+        unicode_ends = "a\xa0".encode() + b"\xff" + "\u2003b \x85".encode()
+        assert normalize_whitespace(unicode_ends) == b"a\xffb"
+
+    @given(st.lists(wide_text | messy_text | st.sampled_from(
+               ["", " ", "\t\n ", "\xa0", " \u2003x\x85", "\x1ca\x1c", "\ud800", "{\ud800}",
+                "{" * 140 + "x"]),
+               max_size=50),
+           st.integers(1, 64) | st.just(textclean.BLOCK_CHARS), st.sets(st.sampled_from(STAGES)))
+    def test_blocks_match_clean_per_text(self, texts, block_chars, stages):
+        config = CleanConfig(**{s: s in stages for s in STAGES})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textclean, "BLOCK_CHARS", block_chars)
+            cleaned = list(clean_records(enumerate(texts), config))
+        assert cleaned == [(i, *clean(text, config)) for i, text in enumerate(texts)]
