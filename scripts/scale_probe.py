@@ -30,9 +30,10 @@ exit. The probe does not pin the hash seed, so this also checks that the
 artifacts do not depend on it.
 Nothing is normalised for host speed.
 
-This process imports the standard library only. A child's `ru_maxrss`
-starts from the RSS of the process that forked it, so a probe that
-loaded numpy or the package would inflate every peak it reports.
+This process imports the standard library only, and hashes each artifact
+1 MiB at a time. A child's `ru_maxrss` starts from this process's own
+high-water RSS, so a probe that loaded numpy or the package, or read a
+large artifact whole, would inflate every peak it reports after that.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def run(argv: list[str], env: dict) -> tuple[str, resource.struct_rusage, int, i
         return out.read().decode(), usage, start, end
 
 
+def sha256(path: Path) -> str:
+    """The file's SHA-256, read 1 MiB at a time, so the probe's RSS stays small."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def quartiles(samples: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
@@ -135,8 +145,7 @@ def probe(name: str, scale: float, runs: int, env: dict, tmp: Path) -> dict:
         samples.append({**{key: ns / 1e9 for key, ns in zip(PHASES + ("wall_s",), spans)},
                         "cpu_s": usage.ru_utime + usage.ru_stime,
                         "own_peak_mib": usage.ru_maxrss / 1024})  # Linux reports KiB
-        digests.append({artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
-                        for artifact in ARTIFACTS})
+        digests.append({artifact: sha256(out / artifact) for artifact in ARTIFACTS})
         if digests[-1] != digests[0]:
             sys.exit(f"{name} at scale {scale}: run {len(digests)} wrote other artifacts")
     model = json.loads((out / "model.json").read_bytes())

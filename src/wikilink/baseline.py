@@ -25,7 +25,7 @@ import json
 import math
 import random
 from itertools import chain
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +36,8 @@ DENSE_BLOCK_SIZE = 4  # overlap, jaccard, length diff, bias
 # Pairs whose rows are laid out together. Hashing is per node, once per
 # node table, so a chunk bounds only the row-layout temporaries.
 FEATURIZE_CHUNK = 64
-# Hash keys folded together, which bounds the fold's uint64 temporaries.
-_FOLD_BLOCK = 1 << 14
+# Entries the hash fold or fit's renumbering takes at once, which bounds its temporaries.
+_BLOCK = 1 << 14
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -181,25 +181,14 @@ class FeatureRows:
         picks = _ranges(starts, lengths)
         return FeatureRows(indptr, self.indices[picks], self.values[picks])
 
-    @staticmethod
-    def concat(parts: Sequence["FeatureRows"]) -> "FeatureRows":
-        if len(parts) == 1:
-            return parts[0]
-        offsets = np.cumsum([0] + [p.indptr[-1] for p in parts[:-1]])
-        indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64)] + [p.indptr[1:] + o for p, o in zip(parts, offsets)])
-        return FeatureRows(indptr,
-                           np.concatenate([p.indices for p in parts]),
-                           np.concatenate([p.values for p in parts]))
-
 
 def _fnv_fold(states: np.ndarray, ids: np.ndarray, vocab: tuple) -> np.ndarray:
     """Continue FNV-1a, in place, from `states[i]` over the bytes of token `ids[i]`
     (`vocab` holds the tokens' bytes, starts and lengths first). The ids come longest
     first, so the tokens with a byte at column j are a prefix: one uint64 step each."""
     buf, starts, lens = vocab[:3]
-    for lo in range(0, ids.shape[0], _FOLD_BLOCK):
-        h, block = states[lo : lo + _FOLD_BLOCK], ids[lo : lo + _FOLD_BLOCK]
+    for lo in range(0, ids.shape[0], _BLOCK):
+        h, block = states[lo : lo + _BLOCK], ids[lo : lo + _BLOCK]
         at, n = starts[block], lens[block]
         # active[j]: how many tokens are longer than j bytes
         for j, k in enumerate(np.searchsorted(-n, -np.arange(n[0]), side="left").tolist()):
@@ -334,7 +323,7 @@ def _hash_keys(vocab: tuple, namespace: str, present: np.ndarray, bigrams: np.nd
     states[ids] = _fnv_fold(np.full(ids.shape[0], prefix, dtype=np.uint64), ids, vocab)
     mask = np.uint64((1 << hash_bits) - 1)
     slots = np.empty(bigrams.shape[0], dtype=np.int32)
-    for key in np.split(keys, range(_FOLD_BLOCK, keys.shape[0], _FOLD_BLOCK)):
+    for key in np.split(keys, range(_BLOCK, keys.shape[0], _BLOCK)):
         code = bigrams[key]
         # A bigram key continues from its first token's unmasked state, over
         # the separator byte and then the second token's bytes.
@@ -393,19 +382,27 @@ def _check_hash_bits(table: NodeTable, hash_bits: int) -> None:
             f"node table hashed at hash_bits {table.hash_bits}, model at {hash_bits}")
 
 
-def _chunks(pairs: Sequence[SentencePair], table: NodeTable) -> Iterator[FeatureRows]:
-    """The feature rows of the pairs, laid out FEATURIZE_CHUNK pairs at a time from `table`."""
-    nodes = np.fromiter((row for sp in pairs for row in (sp.premise, sp.hypothesis)),
-                        dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
-    for start in range(0, len(pairs), FEATURIZE_CHUNK):
-        yield table.rows(*nodes[start : start + FEATURIZE_CHUNK].T)
+def _node_rows(pairs: Sequence[SentencePair]) -> np.ndarray:
+    """Each pair's premise and hypothesis rows in the node table, as an [n, 2] int64 array."""
+    return np.fromiter((row for sp in pairs for row in (sp.premise, sp.hypothesis)),
+                       dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
 
 
 def featurize(pairs: Sequence[SentencePair], table: NodeTable) -> FeatureRows:
-    """One CSR row per pair."""
-    if not pairs:
-        return FeatureRows(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    return FeatureRows.concat(list(_chunks(pairs, table)))
+    """One CSR row per pair, laid out FEATURIZE_CHUNK pairs at a time from `table` into
+    one store at the rows' bound before dedup (per pair: its P and H streams, its smaller
+    token set and the dense block), whose pages past the last row never become resident."""
+    nodes = _node_rows(pairs)
+    bound = int(table.stream_lens[(0, 1), nodes].sum() + table.set_lens[nodes].min(axis=1).sum()
+                + DENSE_BLOCK_SIZE * len(pairs))
+    indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+    indices, values = np.empty(bound, dtype=np.int64), np.empty(bound)
+    for start in range(0, len(pairs), FEATURIZE_CHUNK):
+        rows = table.rows(*nodes[start : start + FEATURIZE_CHUNK].T)
+        span = slice(indptr[start], indptr[start] + rows.indptr[-1])
+        indices[span], values[span] = rows.indices, rows.values
+        indptr[start + 1 : start + 1 + len(rows)] = rows.indptr[1:] + span.start
+    return FeatureRows(indptr, indices[: indptr[-1]], values[: indptr[-1]])
 
 
 _SIGMOID_LO = 5e-324  # smallest positive float
@@ -503,8 +500,8 @@ def adamw_step(state: AdamWState, gradient: np.ndarray) -> AdamWState:
 def fit(rows: FeatureRows, labels: Sequence[int],
         config: TrainConfig) -> tuple[np.ndarray, AdamWState]:
     """Mini-batch AdamW on logistic loss over the slots some row touches,
-    renumbered in place to their ranks (the bias, in every row, stays last);
-    deterministic for a fixed seed. Returns the slots, ascending, and the
+    renumbered in place, a block at a time, to their ranks (the bias, in every
+    row, stays last); deterministic for a fixed seed. Returns the slots, ascending, and the
     final state over them: the dense loop's state at `slots`, bit for bit
     (`tests/oracles.py` holds that loop). An untouched slot gets a zero
     gradient at every step, so AdamW leaves its weight, m and v at 0.0, and
@@ -516,7 +513,8 @@ def fit(rows: FeatureRows, labels: Sequence[int],
     rank[rows.indices] = 1
     slots = np.flatnonzero(rank)
     np.cumsum(rank, out=rank)
-    np.subtract(rank[rows.indices], 1, out=rows.indices)
+    for block in np.split(rows.indices, range(_BLOCK, rows.indices.shape[0], _BLOCK)):
+        np.subtract(rank[block], 1, out=block)  # a view: renumbered in place
     del rank
     state = AdamWState(config, slots.shape[0])
     rng = random.Random(config.seed)
@@ -554,8 +552,10 @@ def predict(model: BaselineModel, pairs: Sequence[SentencePair],
     """Score the pairs in order, one chunk of rows at a time from `table`."""
     _check_hash_bits(table, model.config.hash_bits)
     threshold = model.config.decision_threshold
+    nodes = _node_rows(pairs)
     probabilities = map(sigmoid, chain.from_iterable(
-        row_dots(model.weights, rows) for rows in _chunks(pairs, table)))
+        row_dots(model.weights, table.rows(*nodes[start : start + FEATURIZE_CHUNK].T))
+        for start in range(0, len(pairs), FEATURIZE_CHUNK)))
     return [Prediction(sp.pair_id, p, 1 if p >= threshold else 0)
             for sp, p in zip(pairs, probabilities)]
 

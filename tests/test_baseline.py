@@ -136,6 +136,15 @@ class TestFeaturize:
         f = features(pair(["a", "a", "b"], ["a"]), hash_bits=8)
         assert f[1 << 8] == 2.0  # both premise 'a' occurrences overlap
 
+    def test_zero_pairs(self):
+        """No pairs give no rows, over a table of some nodes or of none."""
+        for _, table in (over_table([pair(["a"], ["b"])], 8), over_table([], 8)):
+            rows = featurize([], table)
+            assert len(rows) == 0 and rows.indptr.tolist() == [0]
+            assert rows.indptr.dtype == rows.indices.dtype == np.int64
+            assert rows.values.dtype == np.float64
+            assert rows.indices.shape == rows.values.shape == (0,)
+
 
 # Lone surrogate, private use and astral: UTF-8 byte order is code-point order across them.
 token = (st.sampled_from(["a", "b", "é", "日本", "a\x1eb", "\ud800", "\ue000", "\U0001F600"])

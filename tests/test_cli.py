@@ -398,6 +398,16 @@ class TestPipeline:
                    for name in ARTIFACTS}
         assert digests == GOLDEN_SHA256
 
+    def test_header_only_test_file_writes_empty_outputs(self, fixture_dir, tmp_path):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("nodes.tsv", "train.csv"):
+            (inputs / name).write_bytes((fixture_dir / name).read_bytes())
+        (inputs / "test.csv").write_text("id,id1,id2\n")
+        assert main(pipeline_argv(inputs, tmp_path / "out")) == 0
+        assert (tmp_path / "out" / "predictions.csv").read_text() == "id,prob,label\n"
+        assert (tmp_path / "out" / "submission.csv").read_text() == "id,label\n"
+
     def test_missing_input_fails_with_io(self, tmp_path, capsys):
         code = main([
             "pipeline", "--nodes", str(tmp_path / "missing.tsv"),

@@ -1,7 +1,7 @@
 """`scripts/scale_probe.py`, run as it is on the scale-1 `train-heavy` corpus
-with two timed children: one JSON line of quartiles, whose digests and
-macro F1 are those of the same pipeline run in this process.
-`tests/test_phase_split.py` checks the phases themselves."""
+with two timed children: one JSON line of quartiles, whose phases add up to
+the wall time and whose digests and macro F1 are those of the same pipeline
+run in this process."""
 
 import hashlib
 import importlib.util
@@ -32,6 +32,9 @@ def test_scale_1_digests_match_an_in_process_run(monkeypatch, tmp_path):
     for key in summaries:
         assert set(result[key]) == {"median", "q1", "q3"}, key
         assert 0 < result[key]["q1"] <= result[key]["median"] <= result[key]["q3"], key
+    # Of two runs the median is the mean, so the phases' medians add up to the wall time's.
+    assert abs(sum(result[phase]["median"] for phase in PHASES)
+               - result["wall_s"]["median"]) < 1e-3
     assert 0 < result["filled_slot_share"] < 1
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
