@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # for oracles.py
 
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures" / "synthetic"
 
 
@@ -54,3 +56,16 @@ def fixture_sentence_pairs():
     with open(FIXTURE_DIR / "train.csv") as f:
         return [TuplePair(p.pair_id, tokens[p.id1], tokens[p.id2], p.label)
                 for p in dataset.parse_pairs(f)]
+
+
+@pytest.fixture(scope="session")
+def scale_1_probe() -> dict:
+    """The JSON line of `scripts/scale_probe.py`, run as it is on the scale-1
+    `train-heavy` corpus with two timed children. Spawned once per session;
+    `test_phase_split` and `test_scale_probe` both read it."""
+    proc = subprocess.run([sys.executable, "-B", str(ROOT / "scripts" / "scale_probe.py"),
+                           "--src", str(ROOT / "src"), "--workload", "train-heavy", "--runs", "2",
+                           "1"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    line, = proc.stdout.splitlines()
+    return json.loads(line)
